@@ -1,8 +1,8 @@
-"""Benchmark the compiled scan kernels against the pure-Python fallback.
+"""Benchmark the compiled box scan kernel against the pure-Python fallback.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
-Times the two hot kernels on growing workloads and prints a table with
+Times the oracle's box scan on growing workloads and prints a table with
 the speedup of the compiled path.  Runs fine without the extension (the
 native column is reported as unavailable).
 """
@@ -17,16 +17,6 @@ try:
     from galerobust._speed import _native
 except ImportError:
     _native = None
-
-from galerobust.planar import cross, primitive
-
-
-def _random_cone(rng, bound):
-    while True:
-        a = primitive((rng.randint(-bound, bound), rng.randint(-bound, bound) or 1))
-        b = primitive((rng.randint(-bound, bound), rng.randint(-bound, bound) or 1))
-        if a != (0, 0) and b != (0, 0) and cross(a, b) > 0:
-            return a, b
 
 
 def _random_rows(rng, n, bound):
@@ -47,28 +37,9 @@ def _time(fn, repeat):
     return best
 
 
-def bench_hilbert(repeat):
-    rng = random.Random(1)
-    print("hilbert_scan: irreducible generators of one cone")
-    print(f"{'bound':>6} {'cones':>6} {'pure (s)':>10} {'native (s)':>11} {'speedup':>8}")
-    for bound in (10, 25, 50, 80):
-        cones = [_random_cone(rng, bound) for _ in range(20)]
-
-        def run(mod):
-            for a, b in cones:
-                mod.hilbert_scan(a[0], a[1], b[0], b[1])
-
-        tp = _time(lambda: run(_pure), repeat)
-        if _native is None:
-            print(f"{bound:>6} {len(cones):>6} {tp:>10.4f} {'n/a':>11} {'-':>8}")
-        else:
-            tn = _time(lambda: run(_native), repeat)
-            print(f"{bound:>6} {len(cones):>6} {tp:>10.4f} {tn:>11.4f} {tp / tn:>8.1f}")
-
-
 def bench_box_scan(repeat):
     rng = random.Random(2)
-    print("\ngraver_box_scan: divisibility-minimal kernel vectors in a box")
+    print("graver_box_scan: divisibility-minimal kernel vectors in a box")
     print(f"{'radius':>6} {'n':>4} {'pure (s)':>10} {'native (s)':>11} {'speedup':>8}")
     for radius, n in ((10, 4), (25, 5), (50, 6), (100, 6)):
         rows = _random_rows(rng, n, 6)
@@ -89,8 +60,7 @@ def main():
     parser.add_argument("--repeat", type=int, default=3, help="best of N timings")
     args = parser.parse_args()
     if _native is None:
-        print("note: compiled kernels unavailable, timing the pure path only\n")
-    bench_hilbert(args.repeat)
+        print("note: compiled kernel unavailable, timing the pure path only\n")
     bench_box_scan(args.repeat)
 
 

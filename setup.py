@@ -1,8 +1,8 @@
-"""Build script for the optional compiled scan kernels.
+"""Build script for the optional compiled box scan kernel.
 
-The package is pure Python; the extension only accelerates the inner
-lattice-point scans.  If Cython or a C compiler is unavailable the build
-falls back to the pure implementation selected at import time.
+The package is pure Python; the extension only accelerates the
+brute-force oracle's box scan.  If Cython or a C compiler is unavailable
+the build falls back to the pure implementation selected at import time.
 """
 
 from setuptools import Extension, setup

@@ -1,9 +1,10 @@
-"""Backend selection for the scan kernels.
+"""Backend selection for the oracle's box scan.
 
-A compiled extension (``_native``, built from Cython) is used when it is
-importable and the per-call operands are small enough that every
+A compiled extension (``_native``, built from Cython) speeds up only
+``graver_box_scan``, the brute-force oracle's inner loop.  It is used when
+it is importable and the per-call operands are small enough that every
 intermediate provably fits in a signed 64-bit integer.  Anything larger
-is routed to the pure-Python kernels, which use unbounded integers, so
+is routed to the pure-Python kernel, which uses unbounded integers, so
 no input can ever overflow silently.  Set the environment variable
 ``GALEROBUST_PURE=1`` to force the pure path.
 """
@@ -22,21 +23,12 @@ else:
     except ImportError:
         _native = None
 
-# With |coords| <= 2^20 every cross product in the cone scan stays below
-# 2^43; the box scan bound is checked per call from its own operands.
-_COORD_LIMIT = 1 << 20
 _BOX_VALUE_LIMIT = 1 << 60
 _BOX_POINT_LIMIT = 1 << 22
 
 
 def backend_name() -> str:
     return "native" if _native is not None else "pure"
-
-
-def hilbert_scan(ax: int, ay: int, bx: int, by: int) -> list[tuple[int, int]]:
-    if _native is not None and max(abs(ax), abs(ay), abs(bx), abs(by)) <= _COORD_LIMIT:
-        return _native.hilbert_scan(ax, ay, bx, by)
-    return _pure.hilbert_scan(ax, ay, bx, by)
 
 
 def graver_box_scan(rows, radius: int) -> list[tuple[int, int]]:

@@ -1,7 +1,7 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled scan kernels.
+"""Compiled box scan kernel.
 
-Same contracts as ``_pure``; callers guarantee that every intermediate
+Same contract as ``_pure``; callers guarantee that every intermediate
 fits in int64 (see the dispatch logic in the package __init__), so the
 C arithmetic here cannot overflow.
 """
@@ -20,67 +20,6 @@ cdef long long _gcd(long long a, long long b) noexcept nogil:
         a = b
         b = t
     return a
-
-
-def hilbert_scan(long long ax, long long ay, long long bx, long long by):
-    """Irreducible generators of cone(a, b) ∩ Z², unsorted list of tuples."""
-    cdef long long det = ax * by - ay * bx
-    cdef long long lo_x = 0, hi_x = 0, lo_y = 0, hi_y = 0
-    cdef long long[4] xs
-    cdef long long[4] ys
-    xs[0] = 0; xs[1] = ax; xs[2] = bx; xs[3] = ax + bx
-    ys[0] = 0; ys[1] = ay; ys[2] = by; ys[3] = ay + by
-    cdef int i
-    for i in range(4):
-        if xs[i] < lo_x: lo_x = xs[i]
-        if xs[i] > hi_x: hi_x = xs[i]
-        if ys[i] < lo_y: lo_y = ys[i]
-        if ys[i] > hi_y: hi_y = ys[i]
-
-    cdef Py_ssize_t cap = <Py_ssize_t> ((hi_x - lo_x + 1) * (hi_y - lo_y + 1))
-    cdef long long* px = <long long*> malloc(cap * sizeof(long long))
-    cdef long long* py = <long long*> malloc(cap * sizeof(long long))
-    if px == NULL or py == NULL:
-        free(px); free(py)
-        raise MemoryError()
-
-    cdef Py_ssize_t m = 0
-    cdef long long x, y, c1, c2
-    for x in range(lo_x, hi_x + 1):
-        for y in range(lo_y, hi_y + 1):
-            if x == 0 and y == 0:
-                continue
-            c1 = ax * y - ay * x
-            if c1 < 0 or c1 > det:
-                continue
-            c2 = x * by - y * bx
-            if c2 < 0 or c2 > det:
-                continue
-            px[m] = x
-            py[m] = y
-            m += 1
-
-    out = []
-    cdef Py_ssize_t j, k
-    cdef long long rx, ry
-    cdef bint reducible
-    for j in range(m):
-        if _gcd(px[j], py[j]) != 1:
-            continue
-        reducible = False
-        for k in range(m):
-            rx = px[j] - px[k]
-            ry = py[j] - py[k]
-            if rx == 0 and ry == 0:
-                continue
-            if ax * ry - ay * rx >= 0 and rx * by - ry * bx >= 0:
-                reducible = True
-                break
-        if not reducible:
-            out.append((px[j], py[j]))
-    free(px)
-    free(py)
-    return out
 
 
 cdef int _cmp_cand(const void* pa, const void* pb) noexcept nogil:

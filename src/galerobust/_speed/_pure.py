@@ -1,53 +1,13 @@
-"""Pure-Python reference implementations of the hot scan kernels.
+"""Pure-Python reference implementation of the oracle's box scan.
 
-These are the semantics of record: the compiled variants in ``_native``
-must return exactly the same sets.  Unbounded Python integers make this
+This is the semantics of record: the compiled variant in ``_native``
+must return exactly the same set.  Unbounded Python integers make this
 path correct for inputs of any magnitude.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-
-def hilbert_scan(ax: int, ay: int, bx: int, by: int) -> list[tuple[int, int]]:
-    """Irreducible generators of cone((ax,ay),(bx,by)) ∩ Z², unsorted.
-
-    Enumerates the lattice points of the half-open parallelepiped bound
-    conv{0, a, b, a+b} that lie in the cone, then drops every point that
-    splits as a sum of two nonzero cone points.  Both summands of such a
-    split necessarily lie in the candidate set, so the filter is complete.
-    """
-    det = ax * by - ay * bx
-    xs = (0, ax, bx, ax + bx)
-    ys = (0, ay, by, ay + by)
-    cands: list[tuple[int, int]] = []
-    for px in range(min(xs), max(xs) + 1):
-        for py in range(min(ys), max(ys) + 1):
-            if px == 0 and py == 0:
-                continue
-            c1 = ax * py - ay * px
-            if c1 < 0 or c1 > det:
-                continue
-            c2 = px * by - py * bx
-            if c2 < 0 or c2 > det:
-                continue
-            cands.append((px, py))
-    basis = []
-    for (px, py) in cands:
-        if gcd(abs(px), abs(py)) != 1:
-            continue  # p = g*q with q in the cone, so p splits
-        reducible = False
-        for (qx, qy) in cands:
-            rx, ry = px - qx, py - qy
-            if rx == 0 and ry == 0:
-                continue
-            if ax * ry - ay * rx >= 0 and rx * by - ry * bx >= 0:
-                reducible = True
-                break
-        if not reducible:
-            basis.append((px, py))
-    return basis
 
 
 def graver_box_scan(

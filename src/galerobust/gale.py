@@ -30,9 +30,9 @@ class GaleConfiguration:
             raise ValueError("a Gale configuration needs at least 3 rows")
         clean = []
         for i, row in enumerate(self.rows):
-            t = (int(row[0]), int(row[1]))
             if len(row) != 2:
                 raise ValueError("Gale rows must be 2-dimensional")
+            t = (int(row[0]), int(row[1]))
             if t == (0, 0):
                 raise ZeroRowError(
                     f"Gale row {i} is zero; variable {i} lies in no kernel vector "

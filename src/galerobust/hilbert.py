@@ -2,10 +2,9 @@
 
 A pointed 2D cone spanned by primitive a, b (counterclockwise, angle
 strictly below pi) has a unique minimal generating set of its lattice
-monoid.  Every generator lies in the parallelepiped conv{0, a, b, a+b},
-which makes exhaustive enumeration exact and cheap; an independent
-geometric construction via hull points visible from the origin is also
-provided for cross-checking.
+monoid: the Hirzebruch–Jung chain from a to b, built in one walk of
+O(log det) steps.  An independent geometric construction via hull points
+visible from the origin is also provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -13,9 +12,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import _speed, planar
+from . import planar
 from .errors import GradingError
 from .gale import ReducedGaleConfiguration
+from .intlinalg import _xgcd
 from .planar import Vec2, cross
 
 
@@ -50,12 +50,6 @@ class HilbertBasisSet:
     provenance: tuple[tuple[Vec2, tuple[int, ...]], ...]
     cones: tuple[Cone2D, ...]
 
-    def cones_of(self, v: Vec2) -> tuple[int, ...]:
-        for vec, idx in self.provenance:
-            if vec == v:
-                return idx
-        raise KeyError(v)
-
 
 def _ccw_in_cone(vectors):
     # Inside one pointed cone the angular span is < pi, so the plain cross
@@ -67,15 +61,28 @@ def _ccw_in_cone(vectors):
 
 
 def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
-    """Minimal generating set of cone ∩ Z², counterclockwise.
+    """Minimal generating set of cone ∩ Z², counterclockwise from a to b.
 
-    A lattice point is kept iff it is not the sum of two nonzero lattice
-    points of the cone.  The scan is exhaustive over the parallelepiped
-    conv{0, a, b, a+b}, which contains every irreducible element.  Always
-    contains both generators; equals {a, b} exactly when det(a, b) = 1.
+    Hirzebruch–Jung walk (Oda, *Convex Bodies and Algebraic Geometry*,
+    ch. 1): v0 = a; v1 is the point with det(a, v1) = 1 and the least
+    det(v1, b) >= 0; then v(i+1) = c·v(i) - v(i-1) with c the smallest
+    integer keeping v(i+1) in the cone, until b is reached.  Consecutive
+    elements span determinant 1, and the number of steps is the length of
+    the continued fraction of det / det(v1, b).  Always contains both
+    generators; equals (a, b) exactly when det(a, b) = 1.
     """
-    pts = _speed.hilbert_scan(cone.a[0], cone.a[1], cone.b[0], cone.b[1])
-    return tuple(_ccw_in_cone(pts))
+    a, b = cone.a, cone.b
+    # cross(a, (-t, s)) = s*a0 + t*a1 = 1; shifting along a by k puts
+    # cross(v1, b) into [0, det).
+    _, s, t = _xgcd(a[0], a[1])
+    k = cross((-t, s), b) // cone.det
+    prev, cur = a, (-t - k * a[0], s - k * a[1])
+    basis = [a, cur]
+    while cur != b:
+        c = -(-cross(prev, b) // cross(cur, b))
+        prev, cur = cur, (c * cur[0] - prev[0], c * cur[1] - prev[1])
+        basis.append(cur)
+    return tuple(basis)
 
 
 def _cone_parallelepiped_points(cone: Cone2D) -> list[Vec2]:
@@ -179,6 +186,12 @@ def fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
     return _fan_union_of_directions(config.distinct_directions())
 
 
+def _symmetric_directions(config: ReducedGaleConfiguration) -> tuple[Vec2, ...]:
+    """The distinct directions of {±rows}, counterclockwise."""
+    doubled = set(config.rows) | {(-x, -y) for x, y in config.rows}
+    return tuple(sorted(doubled, key=functools.cmp_to_key(planar.angle_cmp)))
+
+
 def symmetrized_fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
     """Fan union over the centrally symmetric direction set {±rows}.
 
@@ -188,12 +201,7 @@ def symmetrized_fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBa
     cone, which is exactly what separates primitive binomials from
     indispensable ones.  The result is centrally symmetric as a set.
     """
-    doubled = set()
-    for v in config.rows:
-        doubled.add(v)
-        doubled.add((-v[0], -v[1]))
-    dirs = tuple(sorted(doubled, key=functools.cmp_to_key(planar.angle_cmp)))
-    return _fan_union_of_directions(dirs)
+    return _fan_union_of_directions(_symmetric_directions(config))
 
 
 def symmetric_core(h) -> tuple[Vec2, ...]:
@@ -216,11 +224,7 @@ def fan_radius_bound(config: ReducedGaleConfiguration) -> int:
     every primitive-binomial witness u has sup-norm at most this bound;
     brute-force verifiers add their own safety shell on top.
     """
-    doubled = set()
-    for v in config.rows:
-        doubled.add(v)
-        doubled.add((-v[0], -v[1]))
-    dirs = tuple(sorted(doubled, key=functools.cmp_to_key(planar.angle_cmp)))
+    dirs = _symmetric_directions(config)
     if len(dirs) < 3:
         raise GradingError("fewer than 3 distinct directions")
     best = 0

@@ -7,31 +7,10 @@ import pytest
 
 from galerobust import _speed
 from galerobust._speed import _pure
-from galerobust.planar import cross, primitive
 
 native = pytest.importorskip(
     "galerobust._speed._native", reason="compiled kernels not built"
 )
-
-
-def random_cone_pair(rng, bound):
-    while True:
-        a = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        b = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if a == (0, 0) or b == (0, 0):
-            continue
-        a, b = primitive(a), primitive(b)
-        if cross(a, b) > 0:
-            return a, b
-
-
-def test_hilbert_scan_parity():
-    rng = random.Random(101)
-    for _ in range(50):
-        a, b = random_cone_pair(rng, 20)
-        got = sorted(native.hilbert_scan(a[0], a[1], b[0], b[1]))
-        want = sorted(_pure.hilbert_scan(a[0], a[1], b[0], b[1]))
-        assert got == want
 
 
 def test_box_scan_parity():

@@ -50,6 +50,8 @@ def test_configuration_rejects_zero_rows_and_small_n():
         GaleConfiguration(rows=((1, 0), (0, 0), (0, 1)))
     with pytest.raises(ValueError):
         GaleConfiguration(rows=((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        GaleConfiguration(rows=((1,), (1, 0), (0, 1)))
 
 
 def test_reduce_example_rows(example_matrix):

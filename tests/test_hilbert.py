@@ -88,6 +88,38 @@ def test_det5_fan_cone():
     assert hilbert_basis(c) == ((-2, 1), (-1, 0), (-1, -1), (-1, -2))
 
 
+def hirzebruch_jung_chain(k, coefficients):
+    """a = (1, 0), v1 = (k, 1), v(i+1) = c·v(i) - v(i-1) for each c >= 2.
+
+    Consecutive vectors span determinant 1 and every c >= 2 keeps the
+    chain convex towards the origin, so the chain is by construction the
+    Hilbert basis of the cone from its first to its last vector.
+    """
+    chain = [(1, 0), (k, 1)]
+    for c in coefficients:
+        (px, py), (qx, qy) = chain[-2], chain[-1]
+        chain.append((c * qx - px, c * qy - py))
+    return chain
+
+
+@pytest.mark.parametrize(
+    "k, coefficients",
+    [
+        (10**20, [2]),
+        (10**20 + 7, [3, 2, 5, 2, 2, 4, 2]),
+        (3 * 10**20 + 1, [10**6 + 3, 999_983, 10**6]),  # det above 10^18
+    ],
+)
+@pytest.mark.parametrize("shear", [0, 2**64 + 1])
+def test_huge_cone_basis_is_its_chain(k, coefficients, shear):
+    # Far beyond any scan: the bounding box holds more than 10^20 points.
+    # The shear (x, y) -> (x, y + shear*x) is unimodular and keeps the
+    # orientation, and it pushes coordinates past 2^63.
+    chain = [(x, y + shear * x) for x, y in hirzebruch_jung_chain(k, coefficients)]
+    cone = Cone2D(chain[0], chain[-1])
+    assert hilbert_basis(cone) == tuple(chain)
+
+
 def test_matches_brute_force_oracle():
     rng = random.Random(41)
     for _ in range(60):
