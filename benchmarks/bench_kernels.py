@@ -1,16 +1,20 @@
-"""Benchmark the compiled box scan kernel against the pure-Python fallback.
+"""Micro-benchmarks: the oracle's box scan and the Gale transform over n.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times the oracle's box scan on growing workloads and prints a table with
 the speedup of the compiled path.  Runs fine without the extension (the
-native column is reported as unavailable).
+native column is reported as unavailable).  Then prints the size curve
+of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
++-9: median and max milliseconds over five matrices per n.
 """
 
 import argparse
 import random
+import statistics
 import time
 
+from galerobust import IntegerMatrix, gale_transform
 from galerobust._speed import _pure
 
 try:
@@ -55,6 +59,20 @@ def bench_box_scan(repeat):
             print(f"{radius:>6} {n:>4} {tp:>10.4f} {tn:>11.4f} {tp / tn:>8.1f}")
 
 
+def bench_gale_transform():
+    print("gale_transform: dense (n-2) x n matrices, entries in +-9")
+    print(f"{'n':>4} {'median (ms)':>12} {'max (ms)':>9}")
+    for n in (16, 24, 32, 48):
+        times = []
+        for seed in range(5):
+            rng = random.Random(seed)
+            a = IntegerMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)])
+            t0 = time.perf_counter()
+            gale_transform(a)
+            times.append((time.perf_counter() - t0) * 1e3)
+        print(f"{n:>4} {statistics.median(times):>12.1f} {max(times):>9.1f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="best of N timings")
@@ -62,6 +80,8 @@ def main():
     if _native is None:
         print("note: compiled kernel unavailable, timing the pure path only\n")
     bench_box_scan(args.repeat)
+    print()
+    bench_gale_transform()
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from math import gcd
 
 from . import planar
 from .errors import RankError, ZeroRowError
-from .intlinalg import IntegerMatrix, kernel_lattice_basis, rank
+from .intlinalg import IntegerMatrix, kernel_lattice_basis
 from .planar import Vec2
 
 
@@ -136,10 +136,10 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     n = a.ncols
     if n < 3:
         raise RankError(f"need at least 3 columns, got {n}")
-    r = rank(a)
+    k = kernel_lattice_basis(a)
+    r = n - k.ncols
     if r != n - 2:
         raise RankError(f"rank {r} != ncols - 2 = {n - 2}; kernel is not planar")
-    k = kernel_lattice_basis(a)
     k = _lagrange_reduced_columns(k)
     return GaleConfiguration(rows=tuple(k.rows), source=a)
 

@@ -130,7 +130,7 @@ def _cone_parallelepiped_points(cone: Cone2D) -> list[Vec2]:
 def hilbert_basis_visible(cone: Cone2D) -> tuple[Vec2, ...]:
     """Hilbert basis via the hull boundary visible from the origin.
 
-    Independent of the irreducibility filter: take the convex hull of the
+    Independent of the Hirzebruch–Jung walk: take the convex hull of the
     nonzero cone lattice points in the bounding parallelepiped, keep the
     hull edges whose supporting line strictly separates the polygon from
     the origin, and collect all lattice points on those edges.

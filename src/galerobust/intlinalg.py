@@ -1,5 +1,16 @@
 """Exact integer linear algebra: rank, Hermite normal form, kernel lattices.
 
+Rank, determinant and kernels come from one fraction-free Gauss-Jordan
+(Bareiss) elimination: every division in it is exact by Sylvester's
+identity, so its entries are minors of the input and never swell beyond
+the Hadamard bound.  The elimination gives a kernel basis of full rank
+that may miss lattice points; one triangular solve against a basis of
+its column lattice, found modulo the common pivot, saturates it.  Run
+from the last column to the first, it leaves that basis in echelon
+form, so its canonical Hermite form costs only the reduction above the
+pivots.  `hermite_normal_form`, which carries a unimodular transform,
+serves callers that need the transform.
+
 All arithmetic uses unbounded Python integers, so results are exact for
 inputs of any magnitude; overflow cannot occur.  Matrices are immutable
 value objects and safe to share between threads.
@@ -8,6 +19,8 @@ value objects and safe to share between threads.
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+from .errors import ConsistencyError
 
 IntVec = tuple[int, ...]
 
@@ -166,33 +179,54 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     return IntegerMatrix(h), IntegerMatrix(u)
 
 
+def _bareiss_rref(m: IntegerMatrix) -> tuple[list[int], list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of M.
+
+    Returns (pivots, R, D): the pivot column of each nonzero row, the
+    nonzero rows R of the reduced form, and the common pivot D.  Row i of
+    R has D in column pivots[i] and 0 in every other pivot column, so R/D
+    is the reduced row echelon form of M.  D is 1 when M is zero.  Each
+    row swap also negates a row, so for a square M of full rank D is the
+    determinant of M.
+    """
+    a = [list(r) for r in m.rows]
+    nr = len(a)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(m.ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        sel = next((i for i in range(r, nr) if a[i][col] != 0), None)
+        if sel is None:
+            continue
+        if sel != r:
+            a[r], a[sel] = a[sel], [-x for x in a[r]]
+        prow = a[r]
+        p = prow[col]
+        tail = prow[col:]
+        for i in range(nr):
+            if i != r:
+                row, f = a[i], a[i][col]
+                # prow is zero before col, and so are the rows below it.
+                head = [p * x // prev for x in row[:col]] if i < r else row[:col]
+                a[i] = head + [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+        prev = p
+    return pivots, a[: len(pivots)], prev
+
+
 def rank(m: IntegerMatrix) -> int:
     """Rank over the rationals, computed exactly."""
-    h, _ = hermite_normal_form(m)
-    return sum(1 for row in h.rows if any(x != 0 for x in row))
+    return len(_bareiss_rref(m)[0])
 
 
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant via the Bareiss fraction-free algorithm."""
+    """Exact determinant: the common pivot of the fraction-free elimination."""
     if m.nrows != m.ncols:
         raise ValueError("determinant requires a square matrix")
-    n = m.nrows
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, _, d = _bareiss_rref(m)
+    return d if len(pivots) == m.nrows else 0
 
 
 def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
@@ -203,31 +237,90 @@ def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
     column_hnf forms are identical, which makes this a convenient lattice
     equality test.
     """
-    h, _ = hermite_normal_form(m.transpose())
-    nonzero = [row for row in h.rows if any(x != 0 for x in row)]
+    h = hermite_normal_form(m.transpose())[0].rows if m.ncols else ()
+    nonzero = [row for row in h if any(x != 0 for x in row)]
     if not nonzero:
         # The column lattice is trivial; encode as a single zero column.
         return IntegerMatrix([[0] for _ in range(m.nrows)])
     return IntegerMatrix(nonzero).transpose()
 
 
+def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[int]]:
+    """Triangular basis t_0..t_{r-1} of the lattice spanned by gens and d*Z^r.
+
+    t_j is zero before position j and has a positive divisor of d at j.
+    Since every d*e_k lies in the lattice, all other entries are reduced
+    mod d, so nothing swells.
+    """
+    rest = [[x % d for x in g] for g in gens]
+    basis = []
+    for j in range(r):
+        piv = [0] * r
+        piv[j] = d
+        left = []
+        for g in rest:
+            if g[j]:
+                # The new pivot gcd(piv[j], g[j]) <= g[j] < d survives mod d.
+                h, s, t = _xgcd(piv[j], g[j])
+                p, q = piv[j] // h, g[j] // h
+                piv, g = (
+                    [(s * x + t * y) % d for x, y in zip(piv, g)],
+                    [(p * y - q * x) % d for x, y in zip(piv, g)],
+                )
+            if any(g[j + 1 :]):
+                left.append(g)
+        basis.append(piv)
+        rest = left
+    return basis
+
+
+def _divide_exactly(v: list[int], d: int) -> list[int]:
+    """v / d entrywise; the lattice argument of the caller says it is exact."""
+    q = [divmod(x, d) for x in v]
+    if any(rem for _, rem in q):
+        raise ConsistencyError(
+            f"division by {d} left a remainder; the lattice basis behind it is wrong"
+        )
+    return [x for x, _ in q]
+
+
 def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis of the saturated integer kernel {v : M v = 0}, as columns.
 
-    The rows of the HNF transform U that face zero rows of H form a basis
-    of the full kernel lattice (not a finite-index sublattice), because U
-    is unimodular.  The result is canonicalized to column-style HNF so
-    equal kernels always produce identical matrices.  A full-rank input
-    yields a matrix with zero columns.
+    M is eliminated from its last column to its first.  In that order the
+    elimination gives one kernel vector per free column f: D at f, minus
+    column f of R at the pivots, and 0 elsewhere; it has no entry past f.
+    These rows K span the rational kernel but may miss lattice points.
+    With T a lower-triangular basis of the column lattice of K (K = T V
+    for an integer V), the rows of S = T^-1 K span the whole kernel
+    lattice: the maximal minors of S have gcd 1.  That lattice contains
+    |D|*Z^r, so T is found mod |D|.  S is found by forward substitution
+    with exact division, so row i of S still ends at the i-th free column.
+    Back in the original column order the rows of S, last to first, are
+    in echelon form, and column_hnf only has to reduce above the pivots.
+    Equal kernels thus always produce identical matrices.  A full-rank
+    input yields a matrix with zero columns.
     """
-    h, u = hermite_normal_form(m.transpose())
-    kernel_rows = [
-        u.row(i)
-        for i in range(h.nrows)
-        if all(x == 0 for x in h.row(i))
-    ]
     n = m.ncols
-    if not kernel_rows:
+    pivots, rr, d = _bareiss_rref(IntegerMatrix([row[::-1] for row in m.rows]))
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    if not free:
         return IntegerMatrix([()] * n)
-    canon = column_hnf(IntegerMatrix(kernel_rows).transpose())
-    return canon
+    k = []
+    for f in free:
+        v = [0] * n
+        v[f] = d
+        for row, p in zip(rr, pivots):
+            v[p] = -row[f]
+        k.append(v)
+    # Column j of T is t[j]; the pivot columns of K are -R restricted to free.
+    t = _triangular_basis_mod([[row[f] for f in free] for row in rr], abs(d), len(free))
+    s: list[list[int]] = []
+    for i, v in enumerate(k):
+        for j in range(i):
+            c = t[j][i]
+            if c:
+                v = [x - c * y for x, y in zip(v, s[j])]
+        s.append(_divide_exactly(v, t[i][i]))
+    return column_hnf(IntegerMatrix([v[::-1] for v in reversed(s)]).transpose())

@@ -5,7 +5,7 @@ import pytest
 
 from galerobust import IntegerMatrix, gale_transform, is_positively_graded, rank
 from galerobust.errors import ZeroRowError
-from galerobust.intlinalg import column_hnf
+from galerobust.intlinalg import column_hnf, hermite_normal_form
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,3 +74,23 @@ def random_valid_instances(count: int, seed: int, sizes=(4, 5, 6, 7), bound: int
 def acceptance_suite():
     """The shared 100-instance random suite used by the acceptance tests."""
     return random_valid_instances(100, seed=20260810)
+
+
+def reference_rank(m: IntegerMatrix) -> int:
+    """Rank as the number of nonzero rows of the Hermite normal form."""
+    h, _ = hermite_normal_form(m)
+    return sum(1 for row in h.rows if any(row))
+
+
+def reference_kernel(m: IntegerMatrix) -> IntegerMatrix:
+    """Kernel from the unimodular HNF transform of M^T, then column_hnf.
+
+    The rows of U that face zero rows of H = U M^T span the whole kernel
+    lattice because U is unimodular.  Exact but slow: U is n x n and its
+    entries swell with n.
+    """
+    h, u = hermite_normal_form(m.transpose())
+    kernel_rows = [u.row(i) for i in range(h.nrows) if not any(h.row(i))]
+    if not kernel_rows:
+        return IntegerMatrix([()] * m.ncols)
+    return column_hnf(IntegerMatrix(kernel_rows).transpose())

@@ -140,9 +140,10 @@ def test_criterion_5_criterion_equivalence(acceptance_suite):
 def test_criterion_6_theorem_implications(acceptance_suite, example_matrix):
     # The random suite rarely contains strongly robust instances, so known
     # robust ones (doubled matrices) are added to make the implication bite.
-    instances = list(acceptance_suite) + [example_matrix]
+    reports = [is_strongly_robust(m) for m in [*acceptance_suite, example_matrix]]
+    robust_count = sum(1 for report in reports if report.strongly_robust)
     rng = random.Random(606)
-    while sum(1 for m in instances if is_strongly_robust(m).strongly_robust) < 10:
+    while robust_count < 10:
         d = rng.choice([1, 2])
         n = d + 2
         base = IntegerMatrix(
@@ -157,15 +158,14 @@ def test_criterion_6_theorem_implications(acceptance_suite, example_matrix):
             gale_transform(lam)
         except Exception:
             continue  # a base variable appears in no kernel vector
-        instances.append(lam)
-    violations = 0
-    robust_count = 0
-    for m in instances:
-        report = is_strongly_robust(m)
-        if report.strongly_robust:
-            robust_count += 1
-            if not report.centrally_symmetric or report.mixed_count < 2:
-                violations += 1
+        reports.append(is_strongly_robust(lam))
+        robust_count += reports[-1].strongly_robust
+    violations = sum(
+        1
+        for report in reports
+        if report.strongly_robust
+        and (not report.centrally_symmetric or report.mixed_count < 2)
+    )
     ok = violations == 0 and robust_count >= 10
     _criterion(
         "criterion 6: symmetry and mixed-bouquet implications",

@@ -1,5 +1,8 @@
 import random
+import time
 from collections import Counter
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -36,6 +39,36 @@ def test_gale_transform_rejects_wrong_rank():
         gale_transform(IntegerMatrix.identity(3))
     with pytest.raises(RankError):
         gale_transform(IntegerMatrix([[1, 2]]))
+
+
+@pytest.mark.parametrize("nrows", [6, 46])
+def test_gale_transform_rejects_wide_low_rank_fast(nrows):
+    # Rank 6 of 48 columns: the 42-dimensional kernel is found before the
+    # rank is known, and must not take long (minutes for a swelling HNF).
+    rng = random.Random(6)
+    base = [[rng.randint(-9, 9) for _ in range(48)] for _ in range(6)]
+    rows = list(base)
+    while len(rows) < nrows:
+        c = [rng.randint(-2, 2) for _ in base]
+        rows.append([sum(x * row[j] for x, row in zip(c, base)) for j in range(48)])
+    t0 = time.monotonic()
+    with pytest.raises(RankError, match=r"rank 6 != ncols - 2 = 46"):
+        gale_transform(IntegerMatrix(rows))
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_gale_transform_large_n_is_saturated_and_fast():
+    rng = random.Random(4648)
+    a = IntegerMatrix([[rng.randint(-9, 9) for _ in range(48)] for _ in range(46)])
+    t0 = time.monotonic()
+    b = gale_transform(a)
+    elapsed = time.monotonic() - t0
+    assert (a @ IntegerMatrix([list(r) for r in b.rows])).is_zero()
+    g = 0
+    for (x1, y1), (x2, y2) in combinations(b.rows, 2):
+        g = gcd(g, x1 * y2 - y1 * x2)
+    assert g == 1
+    assert elapsed < 5.0, f"gale_transform took {elapsed:.1f} s at n=48"
 
 
 def test_gale_transform_zero_row():

@@ -13,7 +13,7 @@ from galerobust import (
 )
 from galerobust.intlinalg import column_hnf
 
-from conftest import EXAMPLE_A, lattices_equal
+from conftest import EXAMPLE_A, lattices_equal, reference_kernel
 
 
 def test_constructor_rejects_bad_input():
@@ -139,6 +139,11 @@ def test_kernel_full_rank_is_empty():
     assert k.nrows == 3 and k.ncols == 0
 
 
+def test_column_hnf_of_empty_kernel_is_zero_column():
+    k = kernel_lattice_basis(IntegerMatrix.identity(3))
+    assert column_hnf(k) == IntegerMatrix([[0], [0], [0]])
+
+
 def _maximal_minors_gcd(k: IntegerMatrix) -> int:
     cols = k.ncols
     g = 0
@@ -196,3 +201,12 @@ def test_exactness_with_huge_entries():
     h, u = hermite_normal_form(m)
     assert u @ m == h
     assert abs(determinant(u)) == 1
+
+
+@pytest.mark.parametrize("d", [1, 3, 6, 10, 16])
+def test_kernel_of_wide_matrix_matches_reference(d):
+    # Kernels of dimension 8 to 23, beyond the matrices drawn in
+    # test_kernel_properties.py.
+    rng = random.Random(d * 100 + 24)
+    m = IntegerMatrix([[rng.randint(-9, 9) for _ in range(24)] for _ in range(d)])
+    assert kernel_lattice_basis(m) == reference_kernel(m)
