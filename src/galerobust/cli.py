@@ -27,7 +27,7 @@ from .hilbert import fan_radius_bound
 from .intlinalg import IntegerMatrix
 from .matrixio import load_matrix
 from .oracle import SHELL_WIDTH, graver_bruteforce, is_indispensable_oracle
-from .toric import Binomial, is_strongly_robust, render_binomial
+from .toric import Binomial, RobustnessReport, is_strongly_robust, render_binomial
 
 _INPUT_ERRORS = (
     MatrixFormatError,
@@ -55,8 +55,7 @@ def _input_doc(m: IntegerMatrix) -> dict:
     return {"rows": m.nrows, "cols": m.ncols, "entries": [list(r) for r in m.rows]}
 
 
-def _report_document(m: IntegerMatrix, letters: bool) -> dict:
-    report = is_strongly_robust(m)
+def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) -> dict:
     doc = {
         "version": __version__,
         "input": _input_doc(m),
@@ -124,18 +123,12 @@ def _emit(doc, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _oracle_radius(m: IntegerMatrix, override: int | None) -> int:
-    if override is not None:
-        return override
-    reduced = reduce_configuration(gale_transform(m))
-    return fan_radius_bound(reduced) + SHELL_WIDTH
-
-
-def _run_oracle_comparison(m: IntegerMatrix, radius: int | None, letters: bool) -> dict:
-    b = gale_transform(m)
-    r = _oracle_radius(m, radius)
+def _run_oracle_comparison(
+    report: RobustnessReport, radius: int | None, letters: bool
+) -> dict:
+    b = report.gale
+    r = radius if radius is not None else fan_radius_bound(report.reduced) + SHELL_WIDTH
     brute = graver_bruteforce(b, r)
-    report = is_strongly_robust(m)
     indisp_oracle = frozenset(x for x in brute if is_indispensable_oracle(b, x))
     return {
         "radius": r,
@@ -148,7 +141,7 @@ def _run_oracle_comparison(m: IntegerMatrix, radius: int | None, letters: bool) 
 def cmd_check(args) -> int:
     m = load_matrix(args.path, args.json)
     t0 = time.monotonic()
-    doc = _report_document(m, args.letters)
+    doc = _report_document(m, is_strongly_robust(m), args.letters)
     elapsed = time.monotonic() - t0
     _emit(doc, args.out)
     print(f"elapsed_ms={elapsed * 1000:.1f}", file=sys.stderr)
@@ -157,13 +150,14 @@ def cmd_check(args) -> int:
 
 def _partial(args, keys) -> tuple[int, dict]:
     m = load_matrix(args.path, args.json)
-    full = _report_document(m, args.letters)
+    report = is_strongly_robust(m)
+    full = _report_document(m, report, args.letters)
     doc = {"version": full["version"], "input": full["input"]}
     for k in keys:
         doc[k] = full[k]
     rc = 0
     if getattr(args, "oracle", False):
-        oracle_doc = _run_oracle_comparison(m, args.radius, args.letters)
+        oracle_doc = _run_oracle_comparison(report, args.radius, args.letters)
         doc["oracle"] = oracle_doc
         if not (oracle_doc["graver_match"] and oracle_doc["indispensable_match"]):
             rc = 3
@@ -226,10 +220,11 @@ def cmd_gale(args) -> int:
 
 def cmd_oracle(args) -> int:
     m = load_matrix(args.path, args.json)
+    report = is_strongly_robust(m)
     doc = {
         "version": __version__,
         "input": _input_doc(m),
-        "oracle": _run_oracle_comparison(m, args.radius, args.letters),
+        "oracle": _run_oracle_comparison(report, args.radius, args.letters),
     }
     _emit(doc, args.out)
     ok = doc["oracle"]["graver_match"] and doc["oracle"]["indispensable_match"]

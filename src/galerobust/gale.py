@@ -100,17 +100,18 @@ def _lagrange_reduced_columns(k: IntegerMatrix) -> IntegerMatrix:
     def norm2(x):
         return sum(t * t for t in x)
 
-    if norm2(v) > norm2(w):
-        v, w = w, v
+    nv, nw = norm2(v), norm2(w)
+    if nv > nw:
+        v, w, nv, nw = w, v, nw, nv
     while True:
-        n = norm2(v)
         t = sum(a * b for a, b in zip(v, w))
-        # Nearest integer to t/n, half rounded up; exact integer arithmetic.
-        q = (2 * t + n) // (2 * n)
+        # Nearest integer to t/nv, half rounded up; exact integer arithmetic.
+        q = (2 * t + nv) // (2 * nv)
         if q != 0:
             w = [a - q * b for a, b in zip(w, v)]
-        if norm2(w) < norm2(v):
-            v, w = w, v
+            nw = norm2(w)
+        if nw < nv:
+            v, w, nv, nw = w, v, nw, nv
         else:
             break
 

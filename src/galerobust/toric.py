@@ -37,7 +37,9 @@ class Binomial:
 
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
-    representative per sign pair).
+    representative per sign pair).  The public constructor checks them
+    all; ``from_vector`` is the trusted constructor, which builds the
+    pair so that they hold and skips the checks.
     """
 
     plus: tuple[int, ...]
@@ -65,7 +67,12 @@ class Binomial:
         minus = tuple(-x if x < 0 else 0 for x in zt)
         if plus <= minus:
             plus, minus = minus, plus
-        return cls(plus=plus, minus=minus)
+        # The pair meets every invariant by construction, so the fields are
+        # set directly and __post_init__ does not check them again.
+        binomial = object.__new__(cls)
+        object.__setattr__(binomial, "plus", plus)
+        object.__setattr__(binomial, "minus", minus)
+        return binomial
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -122,6 +129,24 @@ def binomial_from_gale(b: GaleConfiguration, u) -> Binomial:
     return Binomial.from_vector(b.kernel_vector(ut))
 
 
+def _pair_binomials(
+    b: GaleConfiguration, vectors, built: dict[Vec2, Binomial]
+) -> dict[Vec2, Binomial]:
+    """The binomial of each +/- pair among ``vectors``, keyed by its
+    sign-canonical representative.
+
+    u and -u name the same canonical binomial, so ``binomial_from_gale``
+    runs once per pair, on the representative, and not at all for a pair
+    already in ``built``.
+    """
+    pairs: dict[Vec2, Binomial] = {}
+    for u in vectors:
+        key = planar.sign_canonical(u)
+        if key not in pairs:
+            pairs[key] = built[key] if key in built else binomial_from_gale(b, key)
+    return pairs
+
+
 def _fan_pipeline(a: IntegerMatrix):
     b = gale_transform(a)
     reduced = reduce_configuration(b)
@@ -136,8 +161,7 @@ def indispensable_set(a: IntegerMatrix) -> frozenset[Binomial]:
     basis union: vectors u with both u and -u generated by some fan cone.
     """
     b, _, union = _fan_pipeline(a)
-    core = symmetric_core(union)
-    return frozenset(binomial_from_gale(b, u) for u in core)
+    return frozenset(_pair_binomials(b, symmetric_core(union), {}).values())
 
 
 def graver_basis(a: IntegerMatrix) -> frozenset[Binomial]:
@@ -151,7 +175,7 @@ def graver_basis(a: IntegerMatrix) -> frozenset[Binomial]:
     """
     b, reduced, _ = _fan_pipeline(a)
     sym_union = symmetrized_fan_hilbert_union(reduced)
-    return frozenset(binomial_from_gale(b, u) for u in sym_union.vectors)
+    return frozenset(_pair_binomials(b, sym_union.vectors, {}).values())
 
 
 def markov_basis(a: IntegerMatrix) -> tuple[frozenset[Binomial], bool]:
@@ -218,9 +242,13 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
             break
     geometric_verdict = witness is None
 
-    indisp = frozenset(binomial_from_gale(b, u) for u in core)
+    # The core lies inside the symmetrized union, so its binomials are
+    # looked up among the Graver ones; a pair missing there is built anew
+    # and then fails the consistency checks below.
     sym_union = symmetrized_fan_hilbert_union(reduced)
-    graver = frozenset(binomial_from_gale(b, u) for u in sym_union.vectors)
+    graver_pairs = _pair_binomials(b, sym_union.vectors, {})
+    graver = frozenset(graver_pairs.values())
+    indisp = frozenset(_pair_binomials(b, core, graver_pairs).values())
     if geometric_verdict != (indisp == graver):
         raise ConsistencyError(
             "geometric criterion and direct Graver comparison disagree; "

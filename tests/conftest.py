@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from galerobust import IntegerMatrix, gale_transform, is_positively_graded, rank
+from galerobust import (
+    Binomial,
+    IntegerMatrix,
+    gale_transform,
+    is_positively_graded,
+    rank,
+)
 from galerobust.errors import ZeroRowError
 from galerobust.intlinalg import column_hnf, hermite_normal_form
 
@@ -94,3 +100,22 @@ def reference_kernel(m: IntegerMatrix) -> IntegerMatrix:
     if not kernel_rows:
         return IntegerMatrix([()] * m.ncols)
     return column_hnf(IntegerMatrix(kernel_rows).transpose())
+
+
+def reference_binomials(b, vectors) -> frozenset[Binomial]:
+    """One checked Binomial per fan vector, u and -u each built apart.
+
+    The construction the fan path used before it built one binomial per
+    +/- pair: the kernel vector B u is split into its positive and
+    negative parts, the lex-greater part becomes ``plus``, and the public
+    constructor validates the result.
+    """
+    out = set()
+    for u in vectors:
+        z = b.kernel_vector(tuple(u))
+        plus = tuple(max(x, 0) for x in z)
+        minus = tuple(max(-x, 0) for x in z)
+        if plus <= minus:
+            plus, minus = minus, plus
+        out.add(Binomial(plus=plus, minus=minus))
+    return frozenset(out)

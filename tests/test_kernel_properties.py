@@ -1,15 +1,18 @@
-"""Property tests, drawn by hypothesis, for the kernel and the Gale transform.
+"""Property tests, drawn by hypothesis, for the kernel, the Gale transform
+and the trusted binomial constructor.
 
 The rank and the kernel are compared with the old transform-carrying
 Hermite normal form (``reference_rank`` and ``reference_kernel`` in
 conftest), and the Gale rows must not change under unimodular row
-operations on A, which keep its kernel.
+operations on A, which keep its kernel.  ``Binomial.from_vector`` skips
+the constructor's checks, so every binomial it builds must pass them.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galerobust import (
+    Binomial,
     GaleRobustError,
     IntegerMatrix,
     gale_transform,
@@ -97,3 +100,11 @@ def test_gale_rows_invariant_under_unimodular_row_operations(case):
         elif kind == "negate":
             rows[i] = [-x for x in rows[i]]
     assert _outcome(IntegerMatrix(rows)) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8).filter(any))
+def test_trusted_binomial_passes_validation(z):
+    b = Binomial.from_vector(z)
+    assert Binomial(plus=b.plus, minus=b.minus) == b
+    assert b.vector in (tuple(z), tuple(-x for x in z))

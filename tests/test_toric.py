@@ -1,8 +1,11 @@
 
+import dataclasses
+
 import pytest
 
 from galerobust import (
     Binomial,
+    ConsistencyError,
     DegenerateError,
     IntegerMatrix,
     binomial_from_gale,
@@ -16,9 +19,11 @@ from galerobust import (
     reduce_configuration,
     render_binomial,
 )
+from galerobust import toric
 from galerobust.gale import ReducedGaleConfiguration
+from galerobust.hilbert import symmetrized_fan_hilbert_union
 
-from conftest import EXAMPLE_BINOMIALS, random_valid_instances
+from conftest import EXAMPLE_BINOMIALS, random_valid_instances, reference_binomials
 
 
 def as_pairs(bins):
@@ -228,3 +233,31 @@ def test_render_styles():
     assert render_binomial(b, letters=True) == "a^2*c - b^3"
     one_sided = Binomial(plus=(1, 0, 0), minus=(0, 0, 0))
     assert render_binomial(one_sided) == "x1 - 1"
+
+
+def test_pair_binomials_match_reference(acceptance_suite):
+    for a in acceptance_suite:
+        report = is_strongly_robust(a)
+        sym = symmetrized_fan_hilbert_union(report.reduced)
+        assert report.graver == reference_binomials(report.gale, sym.vectors)
+        assert report.indispensable == reference_binomials(report.gale, report.h_core)
+        assert graver_basis(a) == report.graver
+        assert indispensable_set(a) == report.indispensable
+
+
+@pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
+def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatch):
+    a = request.getfixturevalue(name)
+    real = toric.symmetrized_fan_hilbert_union
+
+    def union_without_a_core_pair(config):
+        union = real(config)
+        u = toric.symmetric_core(toric.fan_hilbert_union(config))[0]
+        pair = {u, (-u[0], -u[1])}
+        assert pair <= set(union.vectors)
+        kept = tuple(v for v in union.vectors if v not in pair)
+        return dataclasses.replace(union, vectors=kept)
+
+    monkeypatch.setattr(toric, "symmetrized_fan_hilbert_union", union_without_a_core_pair)
+    with pytest.raises(ConsistencyError):
+        toric.is_strongly_robust(a)
