@@ -1,4 +1,5 @@
-"""Micro-benchmarks: the oracle's box scan and the Gale transform over n.
+"""Micro-benchmarks: the oracle's box scan, the Gale transform over n and
+the fan layers of ``is_strongly_robust``.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
@@ -6,7 +7,10 @@ Times the oracle's box scan on growing workloads and prints a table with
 the speedup of the compiled path.  Runs fine without the extension (the
 native column is reported as unavailable).  Then prints the size curve
 of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
-+-9: median and max milliseconds over five matrices per n.
++-9: median and max milliseconds over five matrices per n.  Last, over
+100 seeded problems drawn like the acceptance suite, the median
+microseconds per problem (best of N) of the plain fan union, the
+symmetrized fan union and the Graver binomials built from it.
 """
 
 import argparse
@@ -14,8 +18,18 @@ import random
 import statistics
 import time
 
-from galerobust import IntegerMatrix, gale_transform
+from galerobust import (
+    IntegerMatrix,
+    fan_hilbert_union,
+    gale_transform,
+    is_positively_graded,
+    rank,
+    reduce_configuration,
+)
 from galerobust._speed import _pure
+from galerobust.errors import ZeroRowError
+from galerobust.hilbert import symmetrized_fan_hilbert_union
+from galerobust.toric import _pair_binomials
 
 try:
     from galerobust._speed import _native
@@ -73,6 +87,42 @@ def bench_gale_transform():
         print(f"{n:>4} {statistics.median(times):>12.1f} {max(times):>9.1f}")
 
 
+def _fan_problems(count, seed):
+    """Corank-2, positively graded matrices, n in 4..7, entries in +-4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((4, 5, 6, 7))
+        m = IntegerMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 2)])
+        if rank(m) != n - 2:
+            continue
+        try:
+            b = gale_transform(m)
+        except ZeroRowError:
+            continue
+        if is_positively_graded(b):
+            out.append(b)
+    return out
+
+
+def bench_fan_layers(repeat):
+    problems = _fan_problems(100, seed=20260810)
+    layers = {"fan_hilbert_union": [], "symmetrized_fan_hilbert_union": [], "graver binomials": []}
+    for b in problems:
+        reduced = reduce_configuration(b)
+        sym = symmetrized_fan_hilbert_union(reduced)
+        for name, fn in (
+            ("fan_hilbert_union", lambda: fan_hilbert_union(reduced)),
+            ("symmetrized_fan_hilbert_union", lambda: symmetrized_fan_hilbert_union(reduced)),
+            ("graver binomials", lambda: _pair_binomials(b, sym.vectors, {})),
+        ):
+            layers[name].append(_time(fn, repeat) * 1e6)
+    print("fan layers: 100 seeded problems, n in 4..7, entries in +-4")
+    print(f"{'layer':<30} {'median (us)':>12}")
+    for name, times in layers.items():
+        print(f"{name:<30} {statistics.median(times):>12.1f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="best of N timings")
@@ -82,6 +132,8 @@ def main():
     bench_box_scan(args.repeat)
     print()
     bench_gale_transform()
+    print()
+    bench_fan_layers(args.repeat)
 
 
 if __name__ == "__main__":

@@ -306,6 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --radius sizes the oracle's box scan: checked only where the oracle
+    # runs (the oracle subcommand has no --oracle flag), before any work.
+    radius = getattr(args, "radius", None)
+    if radius is not None and radius < 1 and getattr(args, "oracle", True):
+        print(f"error: --radius must be at least 1, got {radius}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

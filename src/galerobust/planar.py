@@ -7,7 +7,6 @@ comparisons and hull constructions are exact.
 
 from __future__ import annotations
 
-import functools
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -63,11 +62,6 @@ def angle_cmp(u: Sequence[int], v: Sequence[int]) -> int:
     if c < 0:
         return 1
     return 0
-
-
-def ccw_sorted(vectors: Iterable[Sequence[int]]) -> list[Vec2]:
-    """Sort nonzero vectors counterclockwise starting at the smallest angle."""
-    return sorted((tuple(v) for v in vectors), key=functools.cmp_to_key(angle_cmp))
 
 
 def convex_hull(points: Iterable[Sequence[int]]) -> list[Vec2]:

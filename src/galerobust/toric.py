@@ -60,23 +60,31 @@ class Binomial:
     @classmethod
     def from_vector(cls, z) -> "Binomial":
         """Canonical binomial of a nonzero integer vector (sign chosen here)."""
-        zt = tuple(int(x) for x in z)
-        if not any(zt):
-            raise ValueError("zero vector yields no binomial")
-        plus = tuple(x if x > 0 else 0 for x in zt)
-        minus = tuple(-x if x < 0 else 0 for x in zt)
-        if plus <= minus:
-            plus, minus = minus, plus
-        # The pair meets every invariant by construction, so the fields are
-        # set directly and __post_init__ does not check them again.
-        binomial = object.__new__(cls)
-        object.__setattr__(binomial, "plus", plus)
-        object.__setattr__(binomial, "minus", minus)
-        return binomial
+        return _trusted_binomial([int(x) for x in z])
 
     @property
     def vector(self) -> tuple[int, ...]:
         return tuple(p - m for p, m in zip(self.plus, self.minus))
+
+
+def _trusted_binomial(z: list[int]) -> Binomial:
+    """The canonical binomial of an int list; ValueError if it is zero.
+
+    The positive and negative parts of a nonzero z meet every invariant
+    of ``Binomial`` once the lex-greater one is ``plus``, so the fields
+    are set directly and ``__post_init__`` does not run.
+    """
+    plus = tuple([x if x > 0 else 0 for x in z])
+    minus = tuple([-x if x < 0 else 0 for x in z])
+    if plus <= minus:
+        # Disjoint supports: the parts are equal only when both are zero.
+        if plus == minus:
+            raise ValueError("zero vector yields no binomial")
+        plus, minus = minus, plus
+    binomial = object.__new__(Binomial)
+    object.__setattr__(binomial, "plus", plus)
+    object.__setattr__(binomial, "minus", minus)
+    return binomial
 
 
 def variable_names(n: int, letters: bool = False) -> list[str]:
@@ -123,10 +131,10 @@ def lawrence_lifting(a: IntegerMatrix) -> LawrenceMatrix:
 
 def binomial_from_gale(b: GaleConfiguration, u) -> Binomial:
     """Binomial of the kernel vector B u, in canonical sign."""
-    ut = (int(u[0]), int(u[1]))
-    if ut == (0, 0):
+    x, y = int(u[0]), int(u[1])
+    if x == 0 and y == 0:
         raise ValueError("u must be nonzero")
-    return Binomial.from_vector(b.kernel_vector(ut))
+    return _trusted_binomial([r0 * x + r1 * y for r0, r1 in b.rows])
 
 
 def _pair_binomials(

@@ -1,3 +1,4 @@
+import functools
 import random
 from pathlib import Path
 
@@ -5,13 +6,18 @@ import pytest
 
 from galerobust import (
     Binomial,
+    Cone2D,
+    GradingError,
+    HilbertBasisSet,
     IntegerMatrix,
     gale_transform,
+    hilbert_basis,
     is_positively_graded,
     rank,
 )
 from galerobust.errors import ZeroRowError
 from galerobust.intlinalg import column_hnf, hermite_normal_form
+from galerobust.planar import angle_cmp, cross
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,3 +125,35 @@ def reference_binomials(b, vectors) -> frozenset[Binomial]:
             plus, minus = minus, plus
         out.add(Binomial(plus=plus, minus=minus))
     return frozenset(out)
+
+
+def reference_fan_union(dirs) -> HilbertBasisSet:
+    """Fan union assembled by sorting, as before unions kept walk order.
+
+    One Hilbert basis per consecutive cone, a provenance dict filled cone
+    by cone, then an exact angle sort of the distinct vectors.  Raises
+    the same GradingError texts as the fan code.
+    """
+    if len(dirs) < 3:
+        raise GradingError(
+            f"only {len(dirs)} distinct directions; the fan cannot cover the plane"
+        )
+    cones = []
+    for i, d in enumerate(dirs):
+        nxt = dirs[(i + 1) % len(dirs)]
+        if cross(d, nxt) <= 0:
+            raise GradingError(
+                f"consecutive directions {d} and {nxt} span an angle >= pi; "
+                "the configuration is not positively graded"
+            )
+        cones.append(Cone2D(d, nxt))
+    prov: dict = {}
+    for idx, cone in enumerate(cones):
+        for v in hilbert_basis(cone):
+            prov.setdefault(v, []).append(idx)
+    vectors = tuple(sorted(prov, key=functools.cmp_to_key(angle_cmp)))
+    return HilbertBasisSet(
+        vectors=vectors,
+        provenance=tuple((v, tuple(prov[v])) for v in vectors),
+        cones=tuple(cones),
+    )

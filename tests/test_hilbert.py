@@ -14,11 +14,11 @@ from galerobust import (
     reduce_configuration,
     symmetric_core,
 )
-from galerobust.gale import ReducedGaleConfiguration
-from galerobust.hilbert import symmetrized_fan_hilbert_union
+from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
+from galerobust.hilbert import _symmetric_directions, symmetrized_fan_hilbert_union
 from galerobust.planar import cross, primitive
 
-from conftest import EXAMPLE_UNION
+from conftest import EXAMPLE_UNION, reference_fan_union
 
 
 def brute_cone_points(a, b):
@@ -251,6 +251,41 @@ def test_fan_union_rejects_half_plane():
     )
     with pytest.raises(GradingError):
         fan_hilbert_union(reduced)
+
+
+def _reduced(rows):
+    # reduce_configuration turns each primitive Gale row (x, y) into (-y, x).
+    return reduce_configuration(GaleConfiguration(rows=tuple((y, -x) for x, y in rows)))
+
+
+def _assert_unions_match_reference(reduced):
+    assert fan_hilbert_union(reduced) == reference_fan_union(reduced.distinct_directions())
+    assert symmetrized_fan_hilbert_union(reduced) == reference_fan_union(
+        _symmetric_directions(reduced)
+    )
+
+
+def test_fan_union_starting_on_the_x_axis():
+    # dirs[0] = (1, 0): the wrap-around chain (3,-2), (2,-1), (1,0) lies
+    # below the axis, so only (1, 0) itself moves to the front.
+    reduced = _reduced(((1, 3), (-2, 1), (1, 0), (-1, -4), (3, -2)))
+    _assert_unions_match_reference(reduced)
+    union = fan_hilbert_union(reduced)
+    assert union.vectors[0] == (1, 0)
+    assert union.vectors[-2:] == ((3, -2), (2, -1))
+    assert union.provenance[0] == ((1, 0), (0, 4))
+
+
+def test_fan_union_wrap_cone_straddles_the_x_axis():
+    # The wrap-around cone (1,-3) -> (1,3) has basis vectors on both sides
+    # of the positive x-axis; those from angle 0 on come first.
+    reduced = _reduced(((1, 3), (-1, 0), (1, -3)))
+    _assert_unions_match_reference(reduced)
+    union = fan_hilbert_union(reduced)
+    assert union.vectors[:4] == ((1, 0), (1, 1), (1, 2), (1, 3))
+    assert union.vectors[-2:] == ((1, -2), (1, -1))
+    assert dict(union.provenance)[(1, 1)] == (2,)
+    assert dict(union.provenance)[(1, 3)] == (0, 2)
 
 
 def test_symmetric_core_trivial_cases():

@@ -212,6 +212,26 @@ def test_oracle_radius_override(capsys):
     assert json.loads(out)["oracle"]["radius"] == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("oracle", EXAMPLE_FILE, "--radius", "0"), ("graver", EXAMPLE_FILE, "--oracle", "--radius", "-1")],
+)
+def test_radius_below_one_is_an_input_error(capsys, argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "--radius" in lines[0]
+
+
+def test_radius_is_unused_without_the_oracle(capsys):
+    rc, out = run_cli(capsys, "graver", EXAMPLE_FILE, "--radius", "0")
+    assert rc == 0
+    assert "oracle" not in json.loads(out)
+
+
 def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     rc, out = run_cli(capsys, "check", EXAMPLE_FILE)
     target = tmp_path / "report.json"

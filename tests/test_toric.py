@@ -20,7 +20,7 @@ from galerobust import (
     render_binomial,
 )
 from galerobust import toric
-from galerobust.gale import ReducedGaleConfiguration
+from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
 from galerobust.hilbert import symmetrized_fan_hilbert_union
 
 from conftest import EXAMPLE_BINOMIALS, random_valid_instances, reference_binomials
@@ -73,6 +73,12 @@ def test_binomial_from_gale_sign_invariance(example_matrix):
         assert binomial_from_gale(b, u) == binomial_from_gale(b, (-u[0], -u[1]))
     with pytest.raises(ValueError):
         binomial_from_gale(b, (0, 0))
+
+
+def test_binomial_from_gale_rejects_a_zero_kernel_vector():
+    collinear = GaleConfiguration(rows=((1, 0), (2, 0), (-3, 0)))
+    with pytest.raises(ValueError, match="zero vector"):
+        binomial_from_gale(collinear, (0, 5))
 
 
 def test_indispensable_example(example_matrix):
