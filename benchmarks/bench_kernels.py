@@ -1,5 +1,5 @@
-"""Micro-benchmarks: the oracle's box scan, the Gale transform over n and
-the fan layers of ``is_strongly_robust``.
+"""Micro-benchmarks: the oracle's box scan, the Gale transform over n,
+the fan layers of ``is_strongly_robust`` and the CLI per subcommand.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
@@ -7,17 +7,27 @@ Times the oracle's box scan on growing workloads and prints a table with
 the speedup of the compiled path.  Runs fine without the extension (the
 native column is reported as unavailable).  Then prints the size curve
 of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
-+-9: median and max milliseconds over five matrices per n.  Last, over
++-9: median and max milliseconds over five matrices per n.  Then, over
 100 seeded problems drawn like the acceptance suite, the median
 microseconds per problem (best of N) of the plain fan union, the
-symmetrized fan union and the Graver binomials built from it.
+symmetrized fan union and the Graver binomials built from it.  Last,
+the median wall milliseconds of ``python -m galerobust <cmd>`` on
+``tests/data/example_4x6.mat`` for each subcommand, over CLI_RUNS fresh
+processes: start-up and imports included, since a subcommand loads only
+the modules it runs.
 """
 
 import argparse
+import os
 import random
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
+import galerobust
 from galerobust import (
     IntegerMatrix,
     fan_hilbert_union,
@@ -123,6 +133,32 @@ def bench_fan_layers(repeat):
         print(f"{name:<30} {statistics.median(times):>12.1f}")
 
 
+CLI_RUNS = 9
+CLI_COMMANDS = ("check", "graver", "indispensable", "markov", "bouquets", "gale", "oracle", "plot")
+
+
+def bench_cli():
+    example = Path(__file__).resolve().parent.parent / "tests" / "data" / "example_4x6.mat"
+    env = dict(os.environ)
+    src = str(Path(galerobust.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    print(f"python -m galerobust <cmd> {example.name}: median of {CLI_RUNS} processes")
+    times = {cmd: [] for cmd in CLI_COMMANDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        # Round-robin over the commands, so that a drift in machine speed
+        # shifts every command alike.
+        for _ in range(CLI_RUNS):
+            for cmd in CLI_COMMANDS:
+                argv = [sys.executable, "-m", "galerobust", cmd, str(example)]
+                argv += ["--out", os.path.join(tmp, "out")]
+                t0 = time.perf_counter()
+                subprocess.run(argv, env=env, capture_output=True, check=True)
+                times[cmd].append(time.perf_counter() - t0)
+    print(f"{'command':<14} {'median (ms)':>12}")
+    for cmd, ts in times.items():
+        print(f"{cmd:<14} {statistics.median(ts) * 1e3:>12.1f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="best of N timings")
@@ -134,6 +170,8 @@ def main():
     bench_gale_transform()
     print()
     bench_fan_layers(args.repeat)
+    print()
+    bench_cli()
 
 
 if __name__ == "__main__":

@@ -5,108 +5,85 @@ equals its set of indispensable binomials, producing the full certificate
 chain on the way: kernel lattice bases, the reduced Gale configuration,
 per-cone Hilbert bases, bouquet decompositions, and independent
 brute-force verifications of every claim.
+
+The public names are loaded on first use (PEP 562), so a program that
+needs only the Gale transform never imports the fan or oracle modules.
 """
 
-from .errors import (
-    ConsistencyError,
-    DegenerateError,
-    GaleRobustError,
-    GradingError,
-    MatrixFormatError,
-    RankError,
-    ShellWarning,
-    ZeroRowError,
-)
-from .gale import (
-    Bouquet,
-    GaleConfiguration,
-    ReducedGaleConfiguration,
-    bouquets,
-    gale_transform,
-    is_positively_graded,
-    reduce_configuration,
-)
-from .hilbert import (
-    Cone2D,
-    HilbertBasisSet,
-    fan_hilbert_union,
-    fan_radius_bound,
-    hilbert_basis,
-    hilbert_basis_visible,
-    symmetric_core,
-)
-from .intlinalg import (
-    IntegerMatrix,
-    determinant,
-    hermite_normal_form,
-    kernel_lattice_basis,
-    rank,
-)
-from .oracle import (
-    SHELL_WIDTH,
-    FiberEnumeration,
-    enumerate_fiber,
-    graver_bruteforce,
-    is_indispensable_oracle,
-)
-from .toric import (
-    Binomial,
-    LawrenceMatrix,
-    RobustnessReport,
-    binomial_from_gale,
-    centrally_symmetric_hull,
-    graver_basis,
-    indispensable_set,
-    is_strongly_robust,
-    lawrence_lifting,
-    markov_basis,
-    render_binomial,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Binomial",
-    "Bouquet",
-    "Cone2D",
-    "ConsistencyError",
-    "DegenerateError",
-    "FiberEnumeration",
-    "GaleConfiguration",
-    "GaleRobustError",
-    "GradingError",
-    "HilbertBasisSet",
-    "IntegerMatrix",
-    "LawrenceMatrix",
-    "MatrixFormatError",
-    "RankError",
-    "ReducedGaleConfiguration",
-    "RobustnessReport",
-    "SHELL_WIDTH",
-    "ShellWarning",
-    "ZeroRowError",
-    "binomial_from_gale",
-    "bouquets",
-    "centrally_symmetric_hull",
-    "determinant",
-    "enumerate_fiber",
-    "fan_hilbert_union",
-    "fan_radius_bound",
-    "gale_transform",
-    "graver_basis",
-    "graver_bruteforce",
-    "hermite_normal_form",
-    "hilbert_basis",
-    "hilbert_basis_visible",
-    "indispensable_set",
-    "is_indispensable_oracle",
-    "is_positively_graded",
-    "is_strongly_robust",
-    "kernel_lattice_basis",
-    "lawrence_lifting",
-    "markov_basis",
-    "rank",
-    "reduce_configuration",
-    "render_binomial",
-    "symmetric_core",
-]
+# Public name -> the submodule that defines it.
+_HOMES = {
+    "errors": (
+        "ConsistencyError",
+        "DegenerateError",
+        "GaleRobustError",
+        "GradingError",
+        "MatrixFormatError",
+        "RankError",
+        "ShellWarning",
+        "ZeroRowError",
+    ),
+    "gale": (
+        "Bouquet",
+        "GaleConfiguration",
+        "ReducedGaleConfiguration",
+        "bouquets",
+        "gale_transform",
+        "is_positively_graded",
+        "reduce_configuration",
+    ),
+    "hilbert": (
+        "Cone2D",
+        "HilbertBasisSet",
+        "fan_hilbert_union",
+        "fan_radius_bound",
+        "hilbert_basis",
+        "symmetric_core",
+    ),
+    "intlinalg": (
+        "IntegerMatrix",
+        "determinant",
+        "hermite_normal_form",
+        "kernel_lattice_basis",
+        "rank",
+    ),
+    "oracle": (
+        "SHELL_WIDTH",
+        "FiberEnumeration",
+        "enumerate_fiber",
+        "graver_bruteforce",
+        "is_indispensable_oracle",
+    ),
+    "toric": (
+        "Binomial",
+        "LawrenceMatrix",
+        "RobustnessReport",
+        "binomial_from_gale",
+        "centrally_symmetric_hull",
+        "graver_basis",
+        "indispensable_set",
+        "is_strongly_robust",
+        "lawrence_lifting",
+        "markov_basis",
+        "render_binomial",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,10 @@ Every subcommand reads one matrix file, runs the requested computation
 and prints a deterministic JSON document to stdout (or --out).  Exit
 codes: 0 success / strongly robust, 1 computed but not strongly robust,
 2 invalid input or violated precondition, 3 oracle mismatch.
+
+A subcommand imports only the modules it runs: the fan pipeline
+(``toric``, ``hilbert``) and ``svgplot`` are imported inside the commands
+that use them, so ``gale`` and ``bouquets`` never load them.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import argparse
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import __version__, svgplot
+from . import __version__
 from .errors import (
     DegenerateError,
     GaleRobustError,
@@ -23,11 +28,12 @@ from .errors import (
     ZeroRowError,
 )
 from .gale import bouquets, gale_transform, is_positively_graded, reduce_configuration
-from .hilbert import fan_radius_bound
 from .intlinalg import IntegerMatrix
 from .matrixio import load_matrix
 from .oracle import SHELL_WIDTH, graver_bruteforce, is_indispensable_oracle
-from .toric import Binomial, RobustnessReport, is_strongly_robust, render_binomial
+
+if TYPE_CHECKING:
+    from .toric import RobustnessReport
 
 _INPUT_ERRORS = (
     MatrixFormatError,
@@ -39,16 +45,17 @@ _INPUT_ERRORS = (
 )
 
 
-def _binomial_doc(b: Binomial, letters: bool) -> dict:
-    return {
-        "plus": list(b.plus),
-        "minus": list(b.minus),
-        "pretty": render_binomial(b, letters),
-    }
-
-
 def _binomial_list(bins, letters: bool) -> list[dict]:
-    return [_binomial_doc(b, letters) for b in sorted(bins)]
+    from .toric import render_binomial
+
+    return [
+        {
+            "plus": list(b.plus),
+            "minus": list(b.minus),
+            "pretty": render_binomial(b, letters),
+        }
+        for b in sorted(bins)
+    ]
 
 
 def _input_doc(m: IntegerMatrix) -> dict:
@@ -127,11 +134,14 @@ def _run_oracle_comparison(
     report: RobustnessReport, radius: int | None, letters: bool
 ) -> dict:
     b = report.gale
-    r = radius if radius is not None else fan_radius_bound(report.reduced) + SHELL_WIDTH
-    brute = graver_bruteforce(b, r)
+    if radius is None:
+        from .hilbert import fan_radius_bound
+
+        radius = fan_radius_bound(report.reduced) + SHELL_WIDTH
+    brute = graver_bruteforce(b, radius)
     indisp_oracle = frozenset(x for x in brute if is_indispensable_oracle(b, x))
     return {
-        "radius": r,
+        "radius": radius,
         "bruteforce_graver": _binomial_list(brute, letters),
         "graver_match": brute == report.graver,
         "indispensable_match": indisp_oracle == report.indispensable,
@@ -139,6 +149,8 @@ def _run_oracle_comparison(
 
 
 def cmd_check(args) -> int:
+    from .toric import is_strongly_robust
+
     m = load_matrix(args.path, args.json)
     t0 = time.monotonic()
     doc = _report_document(m, is_strongly_robust(m), args.letters)
@@ -149,6 +161,8 @@ def cmd_check(args) -> int:
 
 
 def _partial(args, keys) -> tuple[int, dict]:
+    from .toric import is_strongly_robust
+
     m = load_matrix(args.path, args.json)
     report = is_strongly_robust(m)
     full = _report_document(m, report, args.letters)
@@ -219,6 +233,8 @@ def cmd_gale(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .toric import is_strongly_robust
+
     m = load_matrix(args.path, args.json)
     report = is_strongly_robust(m)
     doc = {
@@ -232,9 +248,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import diagram_for_report
+    from .toric import is_strongly_robust
+
     m = load_matrix(args.path, args.json)
     report = is_strongly_robust(m)
-    svg = svgplot.diagram_for_report(report)
+    svg = diagram_for_report(report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.out}", file=sys.stderr)

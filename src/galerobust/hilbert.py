@@ -3,8 +3,7 @@
 A pointed 2D cone spanned by primitive a, b (counterclockwise, angle
 strictly below pi) has a unique minimal generating set of its lattice
 monoid: the Hirzebruch–Jung chain from a to b, built in one walk with
-one step per basis element.  An independent geometric construction via
-hull points visible from the origin is also provided for cross-checking.
+one step per basis element.
 
 A fan union is assembled in walk order: consecutive cones share a
 generator and each walk is already counterclockwise, so the chains are
@@ -27,7 +26,12 @@ from .planar import Vec2, cross
 
 @dataclass(frozen=True)
 class Cone2D:
-    """Pointed cone spanned by two primitive generators, a before b."""
+    """Pointed cone spanned by two primitive generators, a before b.
+
+    The public constructor converts both generators to int pairs and
+    checks them; ``_trusted_cone`` builds a cone from generators already
+    known to be valid and skips the checks.
+    """
 
     a: Vec2
     b: Vec2
@@ -48,6 +52,14 @@ class Cone2D:
         return cross(self.a, p) >= 0 and cross(p, self.b) >= 0
 
 
+def _trusted_cone(a: Vec2, b: Vec2) -> Cone2D:
+    """Cone2D(a, b) without ``__post_init__``: a, b primitive int pairs, det > 0."""
+    cone = object.__new__(Cone2D)
+    object.__setattr__(cone, "a", a)
+    object.__setattr__(cone, "b", b)
+    return cone
+
+
 @dataclass(frozen=True)
 class HilbertBasisSet:
     """Union of the Hilbert bases of a fan, with per-vector provenance."""
@@ -55,15 +67,6 @@ class HilbertBasisSet:
     vectors: tuple[Vec2, ...]
     provenance: tuple[tuple[Vec2, tuple[int, ...]], ...]
     cones: tuple[Cone2D, ...]
-
-
-def _ccw_in_cone(vectors):
-    # Inside one pointed cone the angular span is < pi, so the plain cross
-    # product is a strict total order.
-    return sorted(
-        vectors,
-        key=functools.cmp_to_key(lambda p, q: -1 if cross(p, q) > 0 else 1),
-    )
 
 
 def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
@@ -91,70 +94,6 @@ def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
     return tuple(basis)
 
 
-def _cone_parallelepiped_points(cone: Cone2D) -> list[Vec2]:
-    """Nonzero lattice points of the cone inside conv{0, a, b, a+b}.
-
-    Row-wise interval scan: for each x the two cross-product constraints
-    are linear in y, so the admissible y form an interval computed with
-    exact ceil/floor divisions.
-    """
-    ax, ay = cone.a
-    bx, by = cone.b
-    det = cone.det
-    xs = (0, ax, bx, ax + bx)
-    ys = (0, ay, by, ay + by)
-    pts: list[Vec2] = []
-    for x in range(min(xs), max(xs) + 1):
-        # 0 <= ax*y - ay*x <= det  and  0 <= x*by - y*bx <= det, i.e. two
-        # constraints of the form coef*y in [base, base + det].
-        bounds_lo: list[int] = []
-        bounds_hi: list[int] = []
-        feasible = True
-        for coef, base in ((ax, ay * x), (-bx, -x * by)):
-            if coef > 0:
-                bounds_lo.append(-(-base // coef))          # ceil(base/coef)
-                bounds_hi.append((base + det) // coef)      # floor
-            elif coef < 0:
-                bounds_lo.append(-(-(base + det) // coef))
-                bounds_hi.append(base // coef)
-            elif not (base <= 0 <= base + det):
-                feasible = False
-        if not feasible:
-            continue
-        lo = max(bounds_lo) if bounds_lo else min(ys)
-        hi = min(bounds_hi) if bounds_hi else max(ys)
-        for y in range(lo, hi + 1):
-            if x == 0 and y == 0:
-                continue
-            c1 = ax * y - ay * x
-            c2 = x * by - y * bx
-            if 0 <= c1 <= det and 0 <= c2 <= det:
-                pts.append((x, y))
-    return pts
-
-
-def hilbert_basis_visible(cone: Cone2D) -> tuple[Vec2, ...]:
-    """Hilbert basis via the hull boundary visible from the origin.
-
-    Independent of the Hirzebruch–Jung walk: take the convex hull of the
-    nonzero cone lattice points in the bounding parallelepiped, keep the
-    hull edges whose supporting line strictly separates the polygon from
-    the origin, and collect all lattice points on those edges.
-    """
-    pts = _cone_parallelepiped_points(cone)
-    hull = planar.convex_hull(pts)
-    out: set[Vec2] = set()
-    k = len(hull)
-    for i in range(k):
-        u = hull[i]
-        w = hull[(i + 1) % k]
-        # CCW hull: interior is to the left of u->w; the origin must lie
-        # strictly to the right for the edge to face it.
-        if cross((w[0] - u[0], w[1] - u[1]), (-u[0], -u[1])) < 0:
-            out.update(planar.segment_lattice_points(u, w))
-    return tuple(_ccw_in_cone(out))
-
-
 def _fan_cones(dirs: tuple[Vec2, ...]) -> list[Cone2D]:
     if len(dirs) < 3:
         raise GradingError(
@@ -162,13 +101,17 @@ def _fan_cones(dirs: tuple[Vec2, ...]) -> list[Cone2D]:
         )
     cones = []
     for i, d in enumerate(dirs):
+        # One primitivity check per direction; the cross product below is
+        # the counterclockwise check, so each cone is built trusted.
+        if not planar.is_primitive(d):
+            raise ValueError("cone generators must be primitive")
         nxt = dirs[(i + 1) % len(dirs)]
         if cross(d, nxt) <= 0:
             raise GradingError(
                 f"consecutive directions {d} and {nxt} span an angle >= pi; "
                 "the configuration is not positively graded"
             )
-        cones.append(Cone2D(d, nxt))
+        cones.append(_trusted_cone(d, nxt))
     return cones
 
 

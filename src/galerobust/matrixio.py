@@ -2,8 +2,10 @@
 
 The format: an optional run of '#' comment lines, a header with the two
 counts d and n, then d*n whitespace-separated integers (arbitrary
-magnitude, parsed exactly).  A JSON form is also accepted: either a bare
-list of rows or an object with a "matrix" key.
+magnitude, parsed exactly).  Every count and entry is an ASCII
+``[+-]?[0-9]+`` token; underscores and non-ASCII digits are rejected.
+A JSON form is also accepted: either a bare list of rows or an object
+with a "matrix" key.
 """
 
 from __future__ import annotations
@@ -14,6 +16,17 @@ from .errors import MatrixFormatError
 from .intlinalg import IntegerMatrix
 
 
+def _int_token(token: str, what: str) -> int:
+    # int() alone would also take "1_0" and non-ASCII digits (U+FF13).
+    digits = token[1:] if token[0] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise MatrixFormatError(f"bad {what}: {token!r} is not an integer")
+    try:
+        return int(token)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise MatrixFormatError(f"bad {what}: {exc}") from None
+
+
 def parse_matrix_text(text: str) -> IntegerMatrix:
     tokens: list[str] = []
     for line in text.splitlines():
@@ -21,10 +34,7 @@ def parse_matrix_text(text: str) -> IntegerMatrix:
         tokens.extend(body.split())
     if len(tokens) < 2:
         raise MatrixFormatError("missing 'd n' header")
-    try:
-        d, n = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise MatrixFormatError(f"bad header: {exc}") from None
+    d, n = _int_token(tokens[0], "header"), _int_token(tokens[1], "header")
     if d < 1 or n < 1:
         raise MatrixFormatError(f"header counts must be positive, got {d} {n}")
     body = tokens[2:]
@@ -32,10 +42,7 @@ def parse_matrix_text(text: str) -> IntegerMatrix:
         raise MatrixFormatError(
             f"expected {d * n} entries for a {d}x{n} matrix, found {len(body)}"
         )
-    try:
-        values = [int(t) for t in body]
-    except ValueError as exc:
-        raise MatrixFormatError(f"bad entry: {exc}") from None
+    values = [_int_token(t, "entry") for t in body]
     return IntegerMatrix([values[i * n : (i + 1) * n] for i in range(d)])
 
 
@@ -58,8 +65,11 @@ def parse_matrix_json(text: str) -> IntegerMatrix:
 
 
 def load_matrix(path: str, json_mode: bool = False) -> IntegerMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_matrix_json(text) if json_mode else parse_matrix_text(text)
 
 

@@ -6,19 +6,19 @@ read off the fiber, and primitive binomials are found by scanning a box
 of kernel vectors for divisibility-minimal elements.  None of it touches
 the Hilbert-basis code paths, which is the point: agreement between the
 two routes is the strongest correctness check the package has.
+
+The module is cheap to import: ``fractions``, the box-scan backend and
+``Binomial`` are imported inside the functions that use them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import _speed
 from .errors import GradingError, ShellWarning
 from .gale import GaleConfiguration, is_positively_graded
 from .planar import cross
-from .toric import Binomial
 
 #: Width of the safety margin checked at the edge of the scan box.
 SHELL_WIDTH = 2
@@ -34,6 +34,8 @@ class FiberEnumeration:
 
 def _polygon_vertices(b: GaleConfiguration, v):
     """Vertices of {x in R^2 : B x <= v}, exact rational coordinates."""
+    from fractions import Fraction
+
     rows = b.rows
     n = len(rows)
     verts = []
@@ -95,6 +97,8 @@ def is_indispensable_oracle(b: GaleConfiguration, binomial) -> bool:
     overlapping supports are legal input and simply return False.  The
     difference plus - minus must be a kernel vector of the configuration.
     """
+    from .toric import Binomial
+
     if isinstance(binomial, Binomial):
         plus, minus = binomial.plus, binomial.minus
     else:
@@ -142,6 +146,9 @@ def graver_bruteforce(b: GaleConfiguration, radius: int) -> frozenset[Binomial]:
     SHELL_WIDTH); if any surviving element touches the outer shell a
     ShellWarning is emitted because the box was probably too small.
     """
+    from . import _speed
+    from .toric import Binomial
+
     if radius < 1:
         raise ValueError("radius must be positive")
     kept = _speed.graver_box_scan(list(b.rows), radius)

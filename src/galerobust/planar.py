@@ -94,12 +94,3 @@ def convex_hull(points: Iterable[Sequence[int]]) -> list[Vec2]:
         return [pts[0], pts[-1]]
     return hull
 
-
-def segment_lattice_points(u: Vec2, w: Vec2) -> list[Vec2]:
-    """All lattice points on the closed segment [u, w], endpoints included."""
-    dx, dy = w[0] - u[0], w[1] - u[1]
-    if dx == 0 and dy == 0:
-        return [u]
-    g = gcd(abs(dx), abs(dy))
-    sx, sy = dx // g, dy // g
-    return [(u[0] + k * sx, u[1] + k * sy) for k in range(g + 1)]

@@ -9,7 +9,6 @@ the planar fan of the reduced Gale configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from string import ascii_lowercase
 
 from . import planar
 from .errors import ConsistencyError, DegenerateError
@@ -90,7 +89,8 @@ def _trusted_binomial(z: list[int]) -> Binomial:
 def variable_names(n: int, letters: bool = False) -> list[str]:
     """x1..xn, or a..z when requested and n is at most 26."""
     if letters and n <= 26:
-        return list(ascii_lowercase[:n])
+        # Not string.ascii_lowercase: importing string compiles a regex.
+        return list("abcdefghijklmnopqrstuvwxyz"[:n])
     return [f"x{i + 1}" for i in range(n)]
 
 

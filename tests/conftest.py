@@ -1,5 +1,6 @@
 import functools
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from galerobust import (
 )
 from galerobust.errors import ZeroRowError
 from galerobust.intlinalg import column_hnf, hermite_normal_form
-from galerobust.planar import angle_cmp, cross
+from galerobust.planar import angle_cmp, convex_hull, cross
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,3 +158,88 @@ def reference_fan_union(dirs) -> HilbertBasisSet:
         provenance=tuple((v, tuple(prov[v])) for v in vectors),
         cones=tuple(cones),
     )
+
+
+def segment_lattice_points(u, w):
+    """All lattice points on the closed segment [u, w], endpoints included."""
+    dx, dy = w[0] - u[0], w[1] - u[1]
+    if dx == 0 and dy == 0:
+        return [u]
+    g = gcd(abs(dx), abs(dy))
+    sx, sy = dx // g, dy // g
+    return [(u[0] + k * sx, u[1] + k * sy) for k in range(g + 1)]
+
+
+def _ccw_in_cone(vectors):
+    # Inside one pointed cone the angular span is < pi, so the plain cross
+    # product is a strict total order.
+    return sorted(
+        vectors,
+        key=functools.cmp_to_key(lambda p, q: -1 if cross(p, q) > 0 else 1),
+    )
+
+
+def _cone_parallelepiped_points(cone):
+    """Nonzero lattice points of the cone inside conv{0, a, b, a+b}.
+
+    Row-wise interval scan: for each x the two cross-product constraints
+    are linear in y, so the admissible y form an interval computed with
+    exact ceil/floor divisions.
+    """
+    ax, ay = cone.a
+    bx, by = cone.b
+    det = cone.det
+    xs = (0, ax, bx, ax + bx)
+    ys = (0, ay, by, ay + by)
+    pts = []
+    for x in range(min(xs), max(xs) + 1):
+        # 0 <= ax*y - ay*x <= det  and  0 <= x*by - y*bx <= det, i.e. two
+        # constraints of the form coef*y in [base, base + det].
+        bounds_lo = []
+        bounds_hi = []
+        feasible = True
+        for coef, base in ((ax, ay * x), (-bx, -x * by)):
+            if coef > 0:
+                bounds_lo.append(-(-base // coef))          # ceil(base/coef)
+                bounds_hi.append((base + det) // coef)      # floor
+            elif coef < 0:
+                bounds_lo.append(-(-(base + det) // coef))
+                bounds_hi.append(base // coef)
+            elif not (base <= 0 <= base + det):
+                feasible = False
+        if not feasible:
+            continue
+        lo = max(bounds_lo) if bounds_lo else min(ys)
+        hi = min(bounds_hi) if bounds_hi else max(ys)
+        for y in range(lo, hi + 1):
+            if x == 0 and y == 0:
+                continue
+            c1 = ax * y - ay * x
+            c2 = x * by - y * bx
+            if 0 <= c1 <= det and 0 <= c2 <= det:
+                pts.append((x, y))
+    return pts
+
+
+def hilbert_basis_visible(cone):
+    """Hilbert basis via the hull boundary visible from the origin.
+
+    A reference independent of the Hirzebruch–Jung walk in
+    ``hilbert_basis``: take the convex hull of the nonzero cone lattice
+    points in the bounding parallelepiped, keep the hull edges whose
+    supporting line strictly separates the polygon from the origin, and
+    collect all lattice points on those edges.  It scans the whole
+    parallelepiped, so it suits small cones only.
+    """
+    pts = _cone_parallelepiped_points(cone)
+    hull = convex_hull(pts)
+    out = set()
+    k = len(hull)
+    for i in range(k):
+        u = hull[i]
+        w = hull[(i + 1) % k]
+        # CCW hull: interior is to the left of u->w; the origin must lie
+        # strictly to the right for the edge to face it.
+        if cross((w[0] - u[0], w[1] - u[1]), (-u[0], -u[1])) < 0:
+            out.update(segment_lattice_points(u, w))
+    return tuple(_ccw_in_cone(out))

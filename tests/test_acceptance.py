@@ -20,7 +20,6 @@ from galerobust import (
     graver_basis,
     graver_bruteforce,
     hilbert_basis,
-    hilbert_basis_visible,
     indispensable_set,
     is_indispensable_oracle,
     is_strongly_robust,
@@ -31,7 +30,12 @@ from galerobust import (
 from galerobust.oracle import SHELL_WIDTH
 from galerobust.planar import cross, primitive
 
-from conftest import DATA, EXAMPLE_BINOMIALS, EXAMPLE_REDUCED_ROWS
+from conftest import (
+    DATA,
+    EXAMPLE_BINOMIALS,
+    EXAMPLE_REDUCED_ROWS,
+    hilbert_basis_visible,
+)
 
 EXAMPLE_FILE = str(DATA / "example_4x6.mat")
 CUBIC_FILE = str(DATA / "twisted_cubic.mat")

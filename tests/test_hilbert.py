@@ -6,11 +6,11 @@ import pytest
 from galerobust import (
     Cone2D,
     GradingError,
+    IntegerMatrix,
     fan_hilbert_union,
     fan_radius_bound,
     gale_transform,
     hilbert_basis,
-    hilbert_basis_visible,
     reduce_configuration,
     symmetric_core,
 )
@@ -18,7 +18,7 @@ from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
 from galerobust.hilbert import _symmetric_directions, symmetrized_fan_hilbert_union
 from galerobust.planar import cross, primitive
 
-from conftest import EXAMPLE_UNION, reference_fan_union
+from conftest import EXAMPLE_A, EXAMPLE_UNION, hilbert_basis_visible, reference_fan_union
 
 
 def brute_cone_points(a, b):
@@ -251,6 +251,23 @@ def test_fan_union_rejects_half_plane():
     )
     with pytest.raises(GradingError):
         fan_hilbert_union(reduced)
+
+
+def test_fan_cones_equal_checked_cones():
+    # The fan builds its cones without Cone2D's checks; they must still be
+    # the cones the checking constructor gives, and non-primitive rows of a
+    # hand-built configuration must still be refused.
+    reduced = reduce_configuration(gale_transform(IntegerMatrix(EXAMPLE_A)))
+    for union in (fan_hilbert_union(reduced), symmetrized_fan_hilbert_union(reduced)):
+        for c in union.cones:
+            assert c == Cone2D(c.a, c.b)
+            assert hash(c) == hash(Cone2D(c.a, c.b))
+    bad = ReducedGaleConfiguration(
+        rows=((2, 0), (0, 1), (-1, -1)), index_map=(0, 1, 2), angular_order=(0, 1, 2)
+    )
+    for build in (fan_hilbert_union, symmetrized_fan_hilbert_union):
+        with pytest.raises(ValueError, match="primitive"):
+            build(bad)
 
 
 def _reduced(rows):

@@ -1,0 +1,126 @@
+"""Import graph: a subcommand loads only the modules it runs.
+
+This session has already imported the whole package, so every check
+runs in a fresh interpreter, with the package found where this session
+found it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import galerobust
+
+from conftest import DATA
+
+SRC = str(Path(galerobust.__file__).resolve().parent.parent)
+EXAMPLE_FILE = str(DATA / "example_4x6.mat")
+
+FAN = {"galerobust.toric", "galerobust.hilbert"}
+PLOT = {"galerobust.svgplot"}
+SPEED = {"galerobust._speed"}
+
+
+def fresh_python(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def modules_after(argv) -> set:
+    """sys.modules of a fresh interpreter after cli.main(argv)."""
+    code = (
+        "import json, sys\n"
+        "from galerobust.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n"
+    )
+    rc, names = json.loads(fresh_python(code, *argv).splitlines()[-1])
+    assert rc in (0, 1)
+    return set(names)
+
+
+# Stdlib modules only some runs need: fractions (oracle) and string
+# (which compiles a regex at import).
+HEAVY_STDLIB = {"fractions", "string"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set:
+    code = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(fresh_python(code)))
+
+
+@pytest.mark.parametrize(
+    "cmd, absent",
+    [
+        ("gale", FAN | PLOT | SPEED),
+        ("bouquets", FAN | PLOT | SPEED),
+        ("check", PLOT | SPEED),
+        ("graver", PLOT | SPEED),
+        ("markov", PLOT | SPEED),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, cmd, absent):
+    loaded = modules_after([cmd, EXAMPLE_FILE, "--out", str(tmp_path / "out.json")])
+    assert "galerobust.cli" in loaded and "galerobust.gale" in loaded
+    assert not {m for m in loaded for a in absent if m == a or m.startswith(a + ".")}
+    assert not (HEAVY_STDLIB - bare_modules) & loaded
+    if cmd in ("gale", "bouquets"):
+        assert "galerobust.oracle" in loaded  # its names are bound in cli
+
+
+def test_oracle_still_loads_its_backend(tmp_path):
+    loaded = modules_after(["oracle", EXAMPLE_FILE, "--out", str(tmp_path / "out.json")])
+    assert {"galerobust._speed", "galerobust.toric", "fractions"} <= loaded
+
+
+def test_public_names_resolve_lazily():
+    code = (
+        "import importlib, json, sys\n"
+        "import galerobust\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('galerobust.'))\n"
+        "listed = set(dir(galerobust))\n"
+        "wrong = [name for name in galerobust.__all__ if getattr(galerobust, name) is not\n"
+        "         getattr(importlib.import_module('galerobust.' + galerobust._HOME[name]), name)]\n"
+        "try:\n"
+        "    galerobust.no_such_name\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps({'loaded': loaded, 'wrong': wrong, 'missing': missing,\n"
+        "                  'unlisted': sorted(set(galerobust.__all__) - listed)}))\n"
+    )
+    doc = json.loads(fresh_python(code))
+    assert doc["loaded"] == []
+    assert doc["wrong"] == []
+    assert doc["unlisted"] == []
+    assert doc["missing"] is not None and "no_such_name" in doc["missing"]
+
+
+def test_star_and_submodule_imports_still_work():
+    code = (
+        "import json\n"
+        "import galerobust\n"
+        "ns = {}\n"
+        "exec('from galerobust import *', ns)\n"
+        "from galerobust import _speed, hilbert\n"
+        "from galerobust import Cone2D, is_strongly_robust\n"
+        "print(json.dumps({'star': sorted(k for k in ns if k != '__builtins__'),\n"
+        "                  'speed': _speed.__name__, 'cone': Cone2D is hilbert.Cone2D,\n"
+        "                  'fn': is_strongly_robust.__module__}))\n"
+    )
+    doc = json.loads(fresh_python(code))
+    assert doc["star"] == sorted(galerobust.__all__)
+    assert doc["speed"] == "galerobust._speed"
+    assert doc["cone"] is True
+    assert doc["fn"] == "galerobust.toric"

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,19 @@ def test_parse_errors():
         parse_matrix_text("2 2\n1 2 3 x")
     with pytest.raises(MatrixFormatError):
         parse_matrix_text("0 2\n")
+    # Only ASCII [+-]?[0-9]+ tokens: int() alone takes "1_0" and "\uff13".
+    for text, token in (
+        ("1 2\n1_0 1\n", "1_0"),
+        ("1 2\n\uff13 1\n", "\uff13"),
+        ("1_0 1\n" + "1 " * 10, "1_0"),
+        ("1 \uff12\n1 1\n", "\uff12"),
+        ("1 2\n+ 1\n", "+"),
+        ("1 2\n--1 1\n", "--1"),
+        ("1 2\n1 0x1\n", "0x1"),
+    ):
+        with pytest.raises(MatrixFormatError, match=re.escape(repr(token))):
+            parse_matrix_text(text)
+    assert parse_matrix_text("1 2\n+7 -0\n").rows == ((7, 0),)
 
 
 def test_parse_json_forms():
@@ -127,6 +141,18 @@ def test_check_malformed_file_exit_two(tmp_path, capsys):
     bad.write_text("4 6\n" + " ".join(["1"] * 20))
     rc, _ = run_cli(capsys, "check", str(bad))
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [["check"], ["gale", "--json"]])
+def test_non_utf8_file_exit_two(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.mat"
+    bad.write_bytes("# caf\u00e9\n1 3\n1 1 1\n".encode("latin-1"))
+    rc = main([*argv, str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: MatrixFormatError: ")
+    assert "UTF-8" in captured.err
 
 
 def test_check_missing_file_exit_two(capsys):
