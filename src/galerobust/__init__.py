@@ -59,7 +59,6 @@ _HOMES = {
     ),
     "toric": (
         "Binomial",
-        "LawrenceMatrix",
         "RobustnessReport",
         "binomial_from_gale",
         "centrally_symmetric_hull",

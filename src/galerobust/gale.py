@@ -9,27 +9,29 @@ configuration, whose angular fan drives everything else in the package.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from math import gcd
 
 from . import planar
+from ._value import _Value
 from .errors import RankError, ZeroRowError
 from .intlinalg import IntegerMatrix, kernel_lattice_basis
 from .planar import Vec2
 
 
-@dataclass(frozen=True)
-class GaleConfiguration:
-    """List of 2D integer row vectors spanning the kernel lattice of A."""
+class GaleConfiguration(_Value, uncompared=("source",)):
+    """List of 2D integer row vectors spanning the kernel lattice of A.
 
-    rows: tuple[Vec2, ...]
-    source: IntegerMatrix | None = field(default=None, compare=False)
+    ``source`` is the matrix the rows came from; it takes no part in
+    equality.
+    """
 
-    def __post_init__(self):
-        if len(self.rows) < 3:
+    __slots__ = ("rows", "source")
+
+    def __init__(self, rows: tuple[Vec2, ...], source: IntegerMatrix | None = None):
+        if len(rows) < 3:
             raise ValueError("a Gale configuration needs at least 3 rows")
         clean = []
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != 2:
                 raise ValueError("Gale rows must be 2-dimensional")
             t = (int(row[0]), int(row[1]))
@@ -40,6 +42,7 @@ class GaleConfiguration:
                 )
             clean.append(t)
         object.__setattr__(self, "rows", tuple(clean))
+        object.__setattr__(self, "source", source)
 
     @property
     def n(self) -> int:
@@ -50,8 +53,7 @@ class GaleConfiguration:
         return tuple(r[0] * u[0] + r[1] * u[1] for r in self.rows)
 
 
-@dataclass(frozen=True)
-class ReducedGaleConfiguration:
+class ReducedGaleConfiguration(_Value):
     """Primitive 90-degree rotations of the Gale rows, with angular order.
 
     ``rows[i]`` corresponds to variable ``index_map[i]`` (the identity
@@ -60,9 +62,17 @@ class ReducedGaleConfiguration:
     in [0, 2*pi), ties broken by original index.
     """
 
-    rows: tuple[Vec2, ...]
-    index_map: tuple[int, ...]
-    angular_order: tuple[int, ...]
+    __slots__ = ("rows", "index_map", "angular_order")
+
+    def __init__(
+        self,
+        rows: tuple[Vec2, ...],
+        index_map: tuple[int, ...],
+        angular_order: tuple[int, ...],
+    ):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "index_map", index_map)
+        object.__setattr__(self, "angular_order", angular_order)
 
     def ordered_rows(self) -> tuple[Vec2, ...]:
         return tuple(self.rows[i] for i in self.angular_order)
@@ -77,13 +87,15 @@ class ReducedGaleConfiguration:
         return tuple(seen)
 
 
-@dataclass(frozen=True)
-class Bouquet:
+class Bouquet(_Value):
     """Maximal set of variables whose Gale vectors span one line."""
 
-    members: frozenset[int]
-    direction: Vec2
-    mixed: bool
+    __slots__ = ("members", "direction", "mixed")
+
+    def __init__(self, members: frozenset[int], direction: Vec2, mixed: bool):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "mixed", mixed)
 
 
 def _lagrange_reduced_columns(k: IntegerMatrix) -> IntegerMatrix:

@@ -15,34 +15,34 @@ other.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import planar
+from ._value import _Value
 from .errors import GradingError
 from .gale import ReducedGaleConfiguration
 from .intlinalg import _xgcd
 from .planar import Vec2, cross
 
 
-@dataclass(frozen=True)
-class Cone2D:
+class Cone2D(_Value):
     """Pointed cone spanned by two primitive generators, a before b.
 
     The public constructor converts both generators to int pairs and
     checks them; ``_trusted_cone`` builds a cone from generators already
-    known to be valid and skips the checks.
+    known to be valid and skips ``__init__`` with its checks.
     """
 
-    a: Vec2
-    b: Vec2
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", (int(self.a[0]), int(self.a[1])))
-        object.__setattr__(self, "b", (int(self.b[0]), int(self.b[1])))
-        if not planar.is_primitive(self.a) or not planar.is_primitive(self.b):
+    def __init__(self, a: Vec2, b: Vec2):
+        a = (int(a[0]), int(a[1]))
+        b = (int(b[0]), int(b[1]))
+        if not planar.is_primitive(a) or not planar.is_primitive(b):
             raise ValueError("cone generators must be primitive")
-        if cross(self.a, self.b) <= 0:
+        if cross(a, b) <= 0:
             raise ValueError("generators must be counterclockwise with angle < pi")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def det(self) -> int:
@@ -53,20 +53,27 @@ class Cone2D:
 
 
 def _trusted_cone(a: Vec2, b: Vec2) -> Cone2D:
-    """Cone2D(a, b) without ``__post_init__``: a, b primitive int pairs, det > 0."""
+    """Cone2D(a, b) without ``__init__``: a, b primitive int pairs, det > 0."""
     cone = object.__new__(Cone2D)
     object.__setattr__(cone, "a", a)
     object.__setattr__(cone, "b", b)
     return cone
 
 
-@dataclass(frozen=True)
-class HilbertBasisSet:
+class HilbertBasisSet(_Value):
     """Union of the Hilbert bases of a fan, with per-vector provenance."""
 
-    vectors: tuple[Vec2, ...]
-    provenance: tuple[tuple[Vec2, tuple[int, ...]], ...]
-    cones: tuple[Cone2D, ...]
+    __slots__ = ("vectors", "provenance", "cones")
+
+    def __init__(
+        self,
+        vectors: tuple[Vec2, ...],
+        provenance: tuple[tuple[Vec2, tuple[int, ...]], ...],
+        cones: tuple[Cone2D, ...],
+    ):
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "cones", cones)
 
 
 def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:

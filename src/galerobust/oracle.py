@@ -14,8 +14,8 @@ The module is cheap to import: ``fractions``, the box-scan backend and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
+from ._value import _Value
 from .errors import GradingError, ShellWarning
 from .gale import GaleConfiguration, is_positively_graded
 from .planar import cross
@@ -24,12 +24,14 @@ from .planar import cross
 SHELL_WIDTH = 2
 
 
-@dataclass(frozen=True)
-class FiberEnumeration:
+class FiberEnumeration(_Value):
     """All nonnegative vectors sharing the image A @ target."""
 
-    target: tuple[int, ...]
-    points: frozenset[tuple[int, ...]]
+    __slots__ = ("target", "points")
+
+    def __init__(self, target: tuple[int, ...], points: frozenset[tuple[int, ...]]):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "points", points)
 
 
 def _polygon_vertices(b: GaleConfiguration, v):

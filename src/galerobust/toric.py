@@ -8,9 +8,8 @@ the planar fan of the reduced Gale configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import planar
+from ._value import _Value
 from .errors import ConsistencyError, DegenerateError
 from .gale import (
     Bouquet,
@@ -30,31 +29,52 @@ from .intlinalg import IntegerMatrix
 from .planar import Vec2
 
 
-@dataclass(frozen=True, order=True)
-class Binomial:
+class Binomial(_Value):
     """Canonical exponent-vector pair p^plus - p^minus.
 
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
     representative per sign pair).  The public constructor checks them
     all; ``from_vector`` is the trusted constructor, which builds the
-    pair so that they hold and skips the checks.
+    pair so that they hold and skips the checks.  Binomials are ordered
+    by (plus, minus).
     """
 
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
+    __slots__ = ("plus", "minus")
 
-    def __post_init__(self):
-        if len(self.plus) != len(self.minus):
+    def __init__(self, plus: tuple[int, ...], minus: tuple[int, ...]):
+        if len(plus) != len(minus):
             raise ValueError("exponent vectors differ in length")
-        if any(x < 0 for x in self.plus) or any(x < 0 for x in self.minus):
+        if any(x < 0 for x in plus) or any(x < 0 for x in minus):
             raise ValueError("exponents must be nonnegative")
-        if any(p > 0 and m > 0 for p, m in zip(self.plus, self.minus)):
+        if any(p > 0 and m > 0 for p, m in zip(plus, minus)):
             raise ValueError("supports of plus and minus must be disjoint")
-        if not any(self.plus) and not any(self.minus):
+        if not any(plus) and not any(minus):
             raise ValueError("zero binomial")
-        if self.plus <= self.minus:
+        if plus <= minus:
             raise ValueError("not in canonical sign (plus must be lex-greater)")
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.plus, self.minus) < (other.plus, other.minus)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.plus, self.minus) <= (other.plus, other.minus)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.plus, self.minus) > (other.plus, other.minus)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.plus, self.minus) >= (other.plus, other.minus)
+        return NotImplemented
 
     @classmethod
     def from_vector(cls, z) -> "Binomial":
@@ -71,7 +91,7 @@ def _trusted_binomial(z: list[int]) -> Binomial:
 
     The positive and negative parts of a nonzero z meet every invariant
     of ``Binomial`` once the lex-greater one is ``plus``, so the fields
-    are set directly and ``__post_init__`` does not run.
+    are set directly and ``__init__`` does not run.
     """
     plus = tuple([x if x > 0 else 0 for x in z])
     minus = tuple([-x if x < 0 else 0 for x in z])
@@ -110,23 +130,16 @@ def render_binomial(b: Binomial, letters: bool = False) -> str:
     return f"{monomial(b.plus)} - {monomial(b.minus)}"
 
 
-@dataclass(frozen=True)
-class LawrenceMatrix:
+def lawrence_lifting(a: IntegerMatrix) -> IntegerMatrix:
     """Block matrix [[A, 0], [I, I]] whose kernel pairs u with -u."""
-
-    base: IntegerMatrix
-    lifted: IntegerMatrix
-
-
-def lawrence_lifting(a: IntegerMatrix) -> LawrenceMatrix:
-    d, n = a.nrows, a.ncols
+    n = a.ncols
     rows = [list(r) + [0] * n for r in a.rows]
     for i in range(n):
         ident = [0] * (2 * n)
         ident[i] = 1
         ident[n + i] = 1
         rows.append(ident)
-    return LawrenceMatrix(base=a, lifted=IntegerMatrix(rows))
+    return IntegerMatrix(rows)
 
 
 def binomial_from_gale(b: GaleConfiguration, u) -> Binomial:
@@ -207,28 +220,58 @@ def centrally_symmetric_hull(config: ReducedGaleConfiguration) -> bool:
     return all((-v[0], -v[1]) in verts for v in verts)
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
-    """Verdict plus every certificate used to reach it."""
+class RobustnessReport(_Value, uncompared=("gale", "reduced")):
+    """Verdict plus every certificate used to reach it.
 
-    strongly_robust: bool
-    graver: frozenset[Binomial]
-    indispensable: frozenset[Binomial]
-    h_union: HilbertBasisSet
-    h_core: tuple[Vec2, ...]
-    bouquets: tuple[Bouquet, ...]
-    mixed_count: int
-    centrally_symmetric: bool
-    complete_intersection: bool
-    witness: Vec2 | None
-    gale: GaleConfiguration = field(compare=False)
-    reduced: ReducedGaleConfiguration = field(compare=False)
+    ``gale`` and ``reduced`` take no part in equality.
+    """
 
-    def __post_init__(self):
-        if not self.indispensable <= self.graver:
+    __slots__ = (
+        "strongly_robust",
+        "graver",
+        "indispensable",
+        "h_union",
+        "h_core",
+        "bouquets",
+        "mixed_count",
+        "centrally_symmetric",
+        "complete_intersection",
+        "witness",
+        "gale",
+        "reduced",
+    )
+
+    def __init__(
+        self,
+        strongly_robust: bool,
+        graver: frozenset[Binomial],
+        indispensable: frozenset[Binomial],
+        h_union: HilbertBasisSet,
+        h_core: tuple[Vec2, ...],
+        bouquets: tuple[Bouquet, ...],
+        mixed_count: int,
+        centrally_symmetric: bool,
+        complete_intersection: bool,
+        witness: Vec2 | None,
+        gale: GaleConfiguration,
+        reduced: ReducedGaleConfiguration,
+    ):
+        if not indispensable <= graver:
             raise ConsistencyError("indispensable set exceeds the Graver basis")
-        if self.strongly_robust != (self.indispensable == self.graver):
+        if strongly_robust != (indispensable == graver):
             raise ConsistencyError("verdict contradicts the set comparison")
+        object.__setattr__(self, "strongly_robust", strongly_robust)
+        object.__setattr__(self, "graver", graver)
+        object.__setattr__(self, "indispensable", indispensable)
+        object.__setattr__(self, "h_union", h_union)
+        object.__setattr__(self, "h_core", h_core)
+        object.__setattr__(self, "bouquets", bouquets)
+        object.__setattr__(self, "mixed_count", mixed_count)
+        object.__setattr__(self, "centrally_symmetric", centrally_symmetric)
+        object.__setattr__(self, "complete_intersection", complete_intersection)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "gale", gale)
+        object.__setattr__(self, "reduced", reduced)
 
 
 def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:

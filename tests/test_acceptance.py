@@ -110,7 +110,7 @@ def test_criterion_4_lawrence_cross_check(acceptance_suite):
     failures = 0
     for m in acceptance_suite:
         n = m.ncols
-        lam = lawrence_lifting(m).lifted
+        lam = lawrence_lifting(m)
         projected = frozenset(
             _project_first_half(x, n) for x in indispensable_set(lam)
         )
@@ -155,7 +155,7 @@ def test_criterion_6_theorem_implications(acceptance_suite, example_matrix):
         )
         if rank(base) != d:
             continue
-        lam = lawrence_lifting(base).lifted
+        lam = lawrence_lifting(base)
         if rank(lam) != lam.ncols - 2:
             continue
         try:

@@ -50,8 +50,8 @@ def modules_after(argv) -> set:
 
 
 # Stdlib modules only some runs need: fractions (oracle) and string
-# (which compiles a regex at import).
-HEAVY_STDLIB = {"fractions", "string"}
+# (which compiles a regex at import); dataclasses and inspect no run needs.
+HEAVY_STDLIB = {"fractions", "string", "dataclasses", "inspect"}
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +79,10 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, cmd, absent)
         assert "galerobust.oracle" in loaded  # its names are bound in cli
 
 
-def test_oracle_still_loads_its_backend(tmp_path):
+def test_oracle_still_loads_its_backend(tmp_path, bare_modules):
     loaded = modules_after(["oracle", EXAMPLE_FILE, "--out", str(tmp_path / "out.json")])
     assert {"galerobust._speed", "galerobust.toric", "fractions"} <= loaded
+    assert not ({"dataclasses", "inspect"} - bare_modules) & loaded
 
 
 def test_public_names_resolve_lazily():

@@ -155,6 +155,19 @@ def test_non_utf8_file_exit_two(tmp_path, capsys, argv):
     assert "UTF-8" in captured.err
 
 
+def test_json_integer_past_digit_limit_exit_two(tmp_path, capsys):
+    # json.loads raises a plain ValueError past the interpreter's
+    # 4300-digit limit for int conversion.
+    big = tmp_path / "big.json"
+    big.write_text("[[" + "7" * 5000 + ", 1, 1]]")
+    rc = main(["gale", "--json", str(big)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: MatrixFormatError: invalid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_missing_file_exit_two(capsys):
     rc, _ = run_cli(capsys, "check", "no_such_file.mat")
     assert rc == 2

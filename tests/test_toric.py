@@ -1,6 +1,4 @@
 
-import dataclasses
-
 import pytest
 
 from galerobust import (
@@ -21,7 +19,7 @@ from galerobust import (
 )
 from galerobust import toric
 from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
-from galerobust.hilbert import symmetrized_fan_hilbert_union
+from galerobust.hilbert import HilbertBasisSet, symmetrized_fan_hilbert_union
 
 from conftest import EXAMPLE_BINOMIALS, random_valid_instances, reference_binomials
 
@@ -140,16 +138,16 @@ def test_markov_twisted_cubic(twisted_cubic):
 
 def test_lawrence_lifting_small():
     lam = lawrence_lifting(IntegerMatrix([[1, 1]]))
-    assert lam.lifted.rows == ((1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1))
+    assert lam.rows == ((1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1))
 
 
 def test_lawrence_lifting_example(example_matrix):
     from galerobust import kernel_lattice_basis, rank
 
     lam = lawrence_lifting(example_matrix)
-    assert (lam.lifted.nrows, lam.lifted.ncols) == (10, 12)
-    assert rank(lam.lifted) == 10
-    k = kernel_lattice_basis(lam.lifted)
+    assert (lam.nrows, lam.ncols) == (10, 12)
+    assert rank(lam) == 10
+    k = kernel_lattice_basis(lam)
     for j in range(k.ncols):
         col = k.column(j)
         assert col[:6] == tuple(-x for x in col[6:])
@@ -177,7 +175,7 @@ def test_strongly_robust_twisted_cubic(twisted_cubic):
 
 
 def test_strongly_robust_lawrence_type():
-    lam = lawrence_lifting(IntegerMatrix([[1, 2, 3]])).lifted
+    lam = lawrence_lifting(IntegerMatrix([[1, 2, 3]]))
     report = is_strongly_robust(lam)
     assert report.strongly_robust
     assert report.centrally_symmetric
@@ -262,7 +260,7 @@ def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatc
         pair = {u, (-u[0], -u[1])}
         assert pair <= set(union.vectors)
         kept = tuple(v for v in union.vectors if v not in pair)
-        return dataclasses.replace(union, vectors=kept)
+        return HilbertBasisSet(kept, union.provenance, union.cones)
 
     monkeypatch.setattr(toric, "symmetrized_fan_hilbert_union", union_without_a_core_pair)
     with pytest.raises(ConsistencyError):

@@ -1,0 +1,143 @@
+"""Value semantics of the public record types.
+
+Each is immutable, compares and hashes by its fields (all of them but
+the provenance fields ``source``, ``gale`` and ``reduced``), prints as
+``Name(field=value, ...)`` and survives pickle and copy.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from galerobust import (
+    Binomial,
+    Bouquet,
+    Cone2D,
+    FiberEnumeration,
+    GaleConfiguration,
+    HilbertBasisSet,
+    IntegerMatrix,
+    ReducedGaleConfiguration,
+    RobustnessReport,
+    gale_transform,
+    is_strongly_robust,
+    reduce_configuration,
+)
+
+from conftest import EXAMPLE_A, TWISTED_CUBIC
+
+GALE_ROWS = ((1, 2), (-2, 1), (-1, -2))
+
+# name -> (build, build with one compared field changed); each call
+# builds a new object.
+CASES = {
+    "GaleConfiguration": (
+        lambda: gale_transform(IntegerMatrix(EXAMPLE_A)),
+        lambda: gale_transform(IntegerMatrix(TWISTED_CUBIC)),
+    ),
+    "ReducedGaleConfiguration": (
+        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 1, 2), (0, 1, 2)),
+        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 1, 2), (0, 2, 1)),
+    ),
+    "Bouquet": (
+        lambda: Bouquet(frozenset({0, 2}), (1, 0), True),
+        lambda: Bouquet(frozenset({0, 2}), (1, 0), False),
+    ),
+    "Cone2D": (
+        lambda: Cone2D((1, 0), (1, 2)),
+        lambda: Cone2D((1, 0), (0, 1)),
+    ),
+    "HilbertBasisSet": (
+        lambda: HilbertBasisSet(
+            ((1, 0), (1, 1), (1, 2)),
+            (((1, 0), (0,)), ((1, 1), (0,)), ((1, 2), (0,))),
+            (Cone2D((1, 0), (1, 2)),),
+        ),
+        lambda: HilbertBasisSet(
+            ((1, 0), (1, 2)),
+            (((1, 0), (0,)), ((1, 1), (0,)), ((1, 2), (0,))),
+            (Cone2D((1, 0), (1, 2)),),
+        ),
+    ),
+    "Binomial": (
+        lambda: Binomial((1, 0, 2), (0, 3, 0)),
+        lambda: Binomial((1, 0, 1), (0, 3, 0)),
+    ),
+    "FiberEnumeration": (
+        lambda: FiberEnumeration((1, 1, 0), frozenset({(1, 1, 0), (0, 0, 1)})),
+        lambda: FiberEnumeration((1, 1, 0), frozenset({(1, 1, 0)})),
+    ),
+    "RobustnessReport": (
+        lambda: is_strongly_robust(IntegerMatrix(EXAMPLE_A)),
+        lambda: is_strongly_robust(IntegerMatrix(TWISTED_CUBIC)),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def test_equal_fields_give_equal_objects(case):
+    build, build_other = case
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != build_other()
+    assert a != tuple(getattr(a, name) for name in a.__slots__)
+
+
+def test_provenance_fields_are_not_compared():
+    matrix = IntegerMatrix(EXAMPLE_A)
+    plain = GaleConfiguration(GALE_ROWS)
+    sourced = GaleConfiguration(GALE_ROWS, source=matrix)
+    assert sourced.source is matrix
+    assert sourced == plain and hash(sourced) == hash(plain)
+
+    report = is_strongly_robust(matrix)
+    other_gale = gale_transform(IntegerMatrix(TWISTED_CUBIC))
+    fields = {name: getattr(report, name) for name in RobustnessReport.__slots__}
+    fields.update(gale=other_gale, reduced=reduce_configuration(other_gale))
+    moved = RobustnessReport(**fields)
+    assert moved.gale is other_gale
+    assert moved == report and hash(moved) == hash(report)
+
+
+def test_fields_are_read_only(case):
+    obj = case[0]()
+    for name in obj.__slots__:
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+def test_repr():
+    assert repr(Binomial((1, 0, 2), (0, 3, 0))) == "Binomial(plus=(1, 0, 2), minus=(0, 3, 0))"
+    assert repr(Cone2D((1, 0), (1, 2))) == "Cone2D(a=(1, 0), b=(1, 2))"
+
+
+def test_binomials_sort_by_plus_then_minus():
+    b1 = Binomial((1, 0, 0), (0, 0, 2))
+    b2 = Binomial((1, 0, 0), (0, 1, 0))
+    b3 = Binomial((2, 0, 0), (0, 0, 1))
+    assert sorted([b3, b1, b2]) == [b1, b2, b3]
+    assert b1 < b2 and b1 <= b2 and b2 <= b2 and b3 > b2 and b3 >= b2 and b2 >= b2
+    assert not b2 < b1 and not b2 > b2
+    with pytest.raises(TypeError):
+        b1 < (b1.plus, b1.minus)
+
+
+def test_pickle_and_copy_round_trips(case):
+    obj = case[0]()
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is type(obj)
+        assert twin == obj and hash(twin) == hash(obj)
+        for name in obj.__slots__:
+            assert getattr(twin, name) == getattr(obj, name)
