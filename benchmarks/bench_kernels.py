@@ -7,10 +7,12 @@ Times the oracle's box scan on growing workloads and prints a table with
 the speedup of the compiled path.  Runs fine without the extension (the
 native column is reported as unavailable).  Then prints the size curve
 of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
-+-9: median and max milliseconds over five matrices per n.  Then, over
-100 seeded problems drawn like the acceptance suite, the median
-microseconds per problem (best of N) of the plain fan union, the
-symmetrized fan union and the Graver binomials built from it.  Last,
++-9, and for n = 64 and 100 on A = ker(B^T)^T, the kernel of random
+nonzero Gale rows B with entries in +-9: median and max milliseconds
+over five matrices per row.  Then, over 100 seeded problems drawn like
+the acceptance suite, the median microseconds per problem (best of N)
+of the plain fan union, the symmetrized fan union and the Graver
+binomials built from it.  Last,
 the median wall milliseconds of ``python -m galerobust <cmd>`` on
 ``tests/data/example_4x6.mat`` for each subcommand, over CLI_RUNS fresh
 processes: start-up and imports included, since a subcommand loads only
@@ -33,6 +35,7 @@ from galerobust import (
     fan_hilbert_union,
     gale_transform,
     is_positively_graded,
+    kernel_lattice_basis,
     rank,
     reduce_configuration,
 )
@@ -83,18 +86,33 @@ def bench_box_scan(repeat):
             print(f"{radius:>6} {n:>4} {tp:>10.4f} {tn:>11.4f} {tp / tn:>8.1f}")
 
 
+def _dense(rng, n):
+    return IntegerMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)])
+
+
+def _kernel_of_gale_rows(rng, n):
+    """A = ker(B^T)^T for n random nonzero Gale rows B of rank 2."""
+    while True:
+        bt = IntegerMatrix(list(zip(*_random_rows(rng, n, 9))))
+        if rank(bt) == 2:
+            return kernel_lattice_basis(bt).transpose()
+
+
 def bench_gale_transform():
-    print("gale_transform: dense (n-2) x n matrices, entries in +-9")
-    print(f"{'n':>4} {'median (ms)':>12} {'max (ms)':>9}")
-    for n in (16, 24, 32, 48):
-        times = []
-        for seed in range(5):
-            rng = random.Random(seed)
-            a = IntegerMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)])
-            t0 = time.perf_counter()
-            gale_transform(a)
-            times.append((time.perf_counter() - t0) * 1e3)
-        print(f"{n:>4} {statistics.median(times):>12.1f} {max(times):>9.1f}")
+    print("gale_transform: (n-2) x n matrices; dense entries and Gale rows B in +-9")
+    print(f"{'input':<12} {'n':>4} {'median (ms)':>12} {'max (ms)':>9}")
+    for kind, make, sizes in (
+        ("dense", _dense, (16, 24, 32, 48)),
+        ("ker(B^T)^T", _kernel_of_gale_rows, (64, 100)),
+    ):
+        for n in sizes:
+            times = []
+            for seed in range(5):
+                a = make(random.Random(seed), n)
+                t0 = time.perf_counter()
+                gale_transform(a)
+                times.append((time.perf_counter() - t0) * 1e3)
+            print(f"{kind:<12} {n:>4} {statistics.median(times):>12.1f} {max(times):>9.1f}")
 
 
 def _fan_problems(count, seed):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 from math import gcd
+from operator import mul
 
 from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
-from .intlinalg import IntegerMatrix, kernel_lattice_basis
+from .intlinalg import IntegerMatrix, _trusted_matrix, kernel_lattice_basis
 from .planar import Vec2
 
 
@@ -104,37 +105,38 @@ def _lagrange_reduced_columns(k: IntegerMatrix) -> IntegerMatrix:
     Gauss/Lagrange reduction followed by sign normalization (first
     nonzero entry positive) and lexicographic column order.  This makes
     the planar kernel basis, and hence the reduced Gale rows, a canonical
-    function of the input matrix.
+    function of the input matrix.  The reduction runs on the Gram matrix
+    (|v|^2, |w|^2, v.w) and a 2x2 unimodular transform, so a pass costs
+    O(1); the transform is applied to the two columns once, at the end.
     """
-    v = list(k.column(0))
-    w = list(k.column(1))
-
-    def norm2(x):
-        return sum(t * t for t in x)
-
-    nv, nw = norm2(v), norm2(w)
+    c0, c1 = k.column(0), k.column(1)
+    nv, nw, t = sum(map(mul, c0, c0)), sum(map(mul, c1, c1)), sum(map(mul, c0, c1))
+    # v = a*c0 + b*c1 and w = c*c0 + d*c1.
+    a, b, c, d = 1, 0, 0, 1
     if nv > nw:
-        v, w, nv, nw = w, v, nw, nv
+        a, b, c, d, nv, nw = c, d, a, b, nw, nv
     while True:
-        t = sum(a * b for a, b in zip(v, w))
         # Nearest integer to t/nv, half rounded up; exact integer arithmetic.
         q = (2 * t + nv) // (2 * nv)
         if q != 0:
-            w = [a - q * b for a, b in zip(w, v)]
-            nw = norm2(w)
+            c, d = c - q * a, d - q * b
+            nw -= q * (2 * t - q * nv)
+            t -= q * nv
         if nw < nv:
-            v, w, nv, nw = w, v, nw, nv
+            a, b, c, d, nv, nw = c, d, a, b, nw, nv
         else:
             break
+    v = [a * x + b * y for x, y in zip(c0, c1)]
+    w = [c * x + d * y for x, y in zip(c0, c1)]
 
     def sign_fix(x):
         lead = next((t for t in x if t != 0), 0)
         return [-t for t in x] if lead < 0 else x
 
     v, w = sign_fix(v), sign_fix(w)
-    if tuple(w) < tuple(v):
+    if w < v:
         v, w = w, v
-    return IntegerMatrix([[a, b] for a, b in zip(v, w)])
+    return _trusted_matrix(tuple(zip(v, w)))
 
 
 def gale_transform(a: IntegerMatrix) -> GaleConfiguration:

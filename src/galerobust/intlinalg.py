@@ -1,15 +1,16 @@
 """Exact integer linear algebra: rank, Hermite normal form, kernel lattices.
 
-Rank, determinant and kernels come from one fraction-free Gauss-Jordan
-(Bareiss) elimination: every division in it is exact by Sylvester's
-identity, so its entries are minors of the input and never swell beyond
-the Hadamard bound.  The elimination gives a kernel basis of full rank
-that may miss lattice points; one triangular solve against a basis of
-its column lattice, found modulo the common pivot, saturates it.  Run
-from the last column to the first, it leaves that basis in echelon
-form, so its canonical Hermite form costs only the reduction above the
-pivots.  `hermite_normal_form`, which carries a unimodular transform,
-serves callers that need the transform.
+Rank, determinant and kernels come from one forward fraction-free
+(Bareiss) elimination: it updates only the rows below each pivot, and
+every division in it is exact by Sylvester's identity, so its entries
+are minors of the input and never swell beyond the Hadamard bound.
+Back substitution in the echelon form, with exact division, gives a
+kernel basis of full rank that may miss lattice points; one triangular
+solve against a basis of its column lattice, found modulo the last
+pivot, saturates it.  Run from the last column to the first, this
+leaves that basis in echelon form, so its canonical Hermite form costs
+only the reduction above the pivots.  `hermite_normal_form`, which
+carries a unimodular transform, serves callers that need the transform.
 
 All arithmetic uses unbounded Python integers, so results are exact for
 inputs of any magnitude; overflow cannot occur.  Matrices are immutable
@@ -18,6 +19,7 @@ value objects and safe to share between threads.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
@@ -46,7 +48,8 @@ class IntegerMatrix:
     Entries are validated to be plain Python ints (bools are rejected) so
     every operation stays exact.  Matrices must have at least one row;
     zero-column matrices are permitted because kernels of full-rank maps
-    are legitimately trivial.
+    are legitimately trivial.  ``_trusted_matrix`` wraps rows the library
+    computed itself and skips these checks.
     """
 
     __slots__ = ("_rows",)
@@ -91,24 +94,18 @@ class IntegerMatrix:
         return tuple(r[j] for r in self._rows)
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        if not self.ncols:
+            raise ValueError("matrix needs at least one row")
+        return _trusted_matrix(tuple(zip(*self._rows)))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: ({self.nrows}x{self.ncols}) @ ({other.nrows}x{other.ncols})"
             )
-        ocols = other.ncols
-        return IntegerMatrix(
-            [
-                [
-                    sum(self._rows[i][k] * other._rows[k][j] for k in range(self.ncols))
-                    for j in range(ocols)
-                ]
-                for i in range(self.nrows)
-            ]
+        cols = tuple(zip(*other._rows))
+        return _trusted_matrix(
+            tuple(tuple([sum(map(mul, r, c)) for c in cols]) for r in self._rows)
         )
 
     def apply(self, vec: Sequence[int]) -> IntVec:
@@ -129,6 +126,13 @@ class IntegerMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
         return f"IntegerMatrix([{body}])"
+
+
+def _trusted_matrix(rows: tuple[IntVec, ...]) -> IntegerMatrix:
+    """IntegerMatrix(rows) without ``__init__``: rows a nonempty tuple of int tuples."""
+    m = object.__new__(IntegerMatrix)
+    m._rows = rows
+    return m
 
 
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
@@ -176,24 +180,27 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
                 h[r] = [x - q * y for x, y in zip(h[r], h[piv])]
                 u[r] = [x - q * y for x, y in zip(u[r], u[piv])]
         piv += 1
-    return IntegerMatrix(h), IntegerMatrix(u)
+    return _trusted_matrix(tuple(map(tuple, h))), _trusted_matrix(tuple(map(tuple, u)))
 
 
-def _bareiss_rref(m: IntegerMatrix) -> tuple[list[int], list[list[int]], int]:
-    """Fraction-free Gauss-Jordan elimination of M.
+def _bareiss_forward(
+    a: list[Sequence[int]], ncols: int
+) -> tuple[list[int], list[Sequence[int]], int]:
+    """Forward fraction-free (Bareiss) elimination of the rows a.
 
-    Returns (pivots, R, D): the pivot column of each nonzero row, the
-    nonzero rows R of the reduced form, and the common pivot D.  Row i of
-    R has D in column pivots[i] and 0 in every other pivot column, so R/D
-    is the reduced row echelon form of M.  D is 1 when M is zero.  Each
-    row swap also negates a row, so for a square M of full rank D is the
-    determinant of M.
+    Returns (pivots, U, D): the pivot column of each nonzero row, the
+    nonzero rows U of the echelon form, and the last pivot D.  U[i] is
+    zero before pivots[i], and U[i][pivots[i]] is a leading minor of the
+    row-permuted input, so D is the common denominator of the reduced row
+    echelon form; D is 1 when the input is zero.  Each row swap also
+    negates a row, so for a square input of full rank D is its
+    determinant.  The list a is reordered and updated in place; no row
+    in it is modified.
     """
-    a = [list(r) for r in m.rows]
     nr = len(a)
     pivots: list[int] = []
     prev = 1
-    for col in range(m.ncols):
+    for col in range(ncols):
         r = len(pivots)
         if r == nr:
             break
@@ -204,13 +211,15 @@ def _bareiss_rref(m: IntegerMatrix) -> tuple[list[int], list[list[int]], int]:
             a[r], a[sel] = a[sel], [-x for x in a[r]]
         prow = a[r]
         p = prow[col]
-        tail = prow[col:]
-        for i in range(nr):
-            if i != r:
-                row, f = a[i], a[i][col]
-                # prow is zero before col, and so are the rows below it.
-                head = [p * x // prev for x in row[:col]] if i < r else row[:col]
-                a[i] = head + [(p * x - f * y) // prev for x, y in zip(row[col:], tail)]
+        tail = prow[col + 1 :]
+        # The rows below the pivot are zero before col.
+        lead = [0] * (col + 1)
+        for i in range(r + 1, nr):
+            row = a[i]
+            f = row[col]
+            if f == 0 and p == prev:
+                continue
+            a[i] = lead + [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
         pivots.append(col)
         prev = p
     return pivots, a[: len(pivots)], prev
@@ -218,14 +227,14 @@ def _bareiss_rref(m: IntegerMatrix) -> tuple[list[int], list[list[int]], int]:
 
 def rank(m: IntegerMatrix) -> int:
     """Rank over the rationals, computed exactly."""
-    return len(_bareiss_rref(m)[0])
+    return len(_bareiss_forward(list(m.rows), m.ncols)[0])
 
 
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant: the common pivot of the fraction-free elimination."""
+    """Exact determinant: the last pivot of the fraction-free elimination."""
     if m.nrows != m.ncols:
         raise ValueError("determinant requires a square matrix")
-    pivots, _, d = _bareiss_rref(m)
+    pivots, _, d = _bareiss_forward(list(m.rows), m.ncols)
     return d if len(pivots) == m.nrows else 0
 
 
@@ -241,8 +250,8 @@ def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
     nonzero = [row for row in h if any(x != 0 for x in row)]
     if not nonzero:
         # The column lattice is trivial; encode as a single zero column.
-        return IntegerMatrix([[0] for _ in range(m.nrows)])
-    return IntegerMatrix(nonzero).transpose()
+        return _trusted_matrix(((0,),) * m.nrows)
+    return _trusted_matrix(tuple(nonzero)).transpose()
 
 
 def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[int]]:
@@ -287,9 +296,13 @@ def _divide_exactly(v: list[int], d: int) -> list[int]:
 def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis of the saturated integer kernel {v : M v = 0}, as columns.
 
-    M is eliminated from its last column to its first.  In that order the
-    elimination gives one kernel vector per free column f: D at f, minus
-    column f of R at the pivots, and 0 elsewhere; it has no entry past f.
+    M is eliminated forward from its last column to its first, to an
+    echelon form U with last pivot D.  For each free column f, back
+    substitution from the last pivot up gives the kernel vector K_f with
+    D at f and 0 at the other free columns: at pivot p of row i,
+    K_f[p] = -(sum over j > p of U[i][j] K_f[j]) / U[i][p].  K_f is D
+    times a rational kernel vector, so by Cramer's rule it is integral
+    and every division is exact; in column order it has no entry past f.
     These rows K span the rational kernel but may miss lattice points.
     With T a lower-triangular basis of the column lattice of K (K = T V
     for an integer V), the rows of S = T^-1 K span the whole kernel
@@ -302,7 +315,7 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     input yields a matrix with zero columns.
     """
     n = m.ncols
-    pivots, rr, d = _bareiss_rref(IntegerMatrix([row[::-1] for row in m.rows]))
+    pivots, u, d = _bareiss_forward([row[::-1] for row in m.rows], n)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     if not free:
@@ -311,11 +324,14 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     for f in free:
         v = [0] * n
         v[f] = d
-        for row, p in zip(rr, pivots):
-            v[p] = -row[f]
         k.append(v)
-    # Column j of T is t[j]; the pivot columns of K are -R restricted to free.
-    t = _triangular_basis_mod([[row[f] for f in free] for row in rr], abs(d), len(free))
+    for row, p in zip(reversed(u), reversed(pivots)):
+        rest = row[p + 1 :]
+        sums = [-sum(map(mul, rest, v[p + 1 :])) for v in k]
+        for v, x in zip(k, _divide_exactly(sums, row[p])):
+            v[p] = x
+    # Column j of T is t[j]; the other columns of K are D times unit vectors.
+    t = _triangular_basis_mod([[v[p] for v in k] for p in pivots], abs(d), len(free))
     s: list[list[int]] = []
     for i, v in enumerate(k):
         for j in range(i):
@@ -323,4 +339,4 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
             if c:
                 v = [x - c * y for x, y in zip(v, s[j])]
         s.append(_divide_exactly(v, t[i][i]))
-    return column_hnf(IntegerMatrix([v[::-1] for v in reversed(s)]).transpose())
+    return column_hnf(_trusted_matrix(tuple(zip(*[v[::-1] for v in reversed(s)]))))

@@ -49,7 +49,7 @@ def parse_matrix_text(text: str) -> IntegerMatrix:
 def parse_matrix_json(text: str) -> IntegerMatrix:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, digit limit, deep nesting
         raise MatrixFormatError(f"invalid JSON: {exc}") from None
     rows = doc.get("matrix") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):

@@ -109,6 +109,44 @@ def reference_kernel(m: IntegerMatrix) -> IntegerMatrix:
     return column_hnf(IntegerMatrix(kernel_rows).transpose())
 
 
+def reference_lagrange(k: IntegerMatrix) -> IntegerMatrix:
+    """Lagrange reduction on the two columns themselves, as before the
+    reduction ran on their Gram matrix.
+
+    Every pass recomputes the dot product and the new norm over the full
+    columns; the rounding, the swaps, the sign normalization and the
+    column order are those of ``gale._lagrange_reduced_columns``.
+    """
+    v = list(k.column(0))
+    w = list(k.column(1))
+
+    def norm2(x):
+        return sum(t * t for t in x)
+
+    nv, nw = norm2(v), norm2(w)
+    if nv > nw:
+        v, w, nv, nw = w, v, nw, nv
+    while True:
+        t = sum(a * b for a, b in zip(v, w))
+        q = (2 * t + nv) // (2 * nv)
+        if q != 0:
+            w = [a - q * b for a, b in zip(w, v)]
+            nw = norm2(w)
+        if nw < nv:
+            v, w, nv, nw = w, v, nw, nv
+        else:
+            break
+
+    def sign_fix(x):
+        lead = next((t for t in x if t != 0), 0)
+        return [-t for t in x] if lead < 0 else x
+
+    v, w = sign_fix(v), sign_fix(w)
+    if tuple(w) < tuple(v):
+        v, w = w, v
+    return IntegerMatrix([[a, b] for a, b in zip(v, w)])
+
+
 def reference_binomials(b, vectors) -> frozenset[Binomial]:
     """One checked Binomial per fan vector, u and -u each built apart.
 

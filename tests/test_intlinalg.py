@@ -192,6 +192,12 @@ def test_determinant_matches_cofactor_expansion():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
         assert determinant(IntegerMatrix(rows)) == cofactor_det(rows)
+    # Mostly zero entries: row swaps, rows already zero in the pivot
+    # column, and singular matrices.
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(n)]
+        assert determinant(IntegerMatrix(rows)) == cofactor_det(rows)
 
 
 def test_exactness_with_huge_entries():

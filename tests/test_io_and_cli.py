@@ -168,6 +168,18 @@ def test_json_integer_past_digit_limit_exit_two(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_json_nesting_past_recursion_limit_exit_two(tmp_path, capsys):
+    # json.loads raises RecursionError, not a ValueError, on deep nesting.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    rc = main(["gale", "--json", str(deep)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: MatrixFormatError: invalid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_missing_file_exit_two(capsys):
     rc, _ = run_cli(capsys, "check", "no_such_file.mat")
     assert rc == 2

@@ -4,11 +4,20 @@ and the trusted binomial constructor.
 The rank and the kernel are compared with the old transform-carrying
 Hermite normal form (``reference_rank`` and ``reference_kernel`` in
 conftest), and the Gale rows must not change under unimodular row
-operations on A, which keep its kernel.  ``Binomial.from_vector`` skips
-the constructor's checks, so every binomial it builds must pass them.
+operations on A, which keep its kernel.  Kernels of wide sparse
+matrices A = ker(B^T)^T must be saturated, the Gram-matrix Lagrange
+reduction must return what the vector form (``reference_lagrange``)
+does, and the Gale rows of a fixed set of dense matrices must hash to a
+recorded digest.  ``Binomial.from_vector`` skips the constructor's
+checks, so every binomial it builds must pass them.
 """
 
-from hypothesis import given, settings
+import hashlib
+import random
+from itertools import combinations
+from math import gcd
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galerobust import (
@@ -19,8 +28,9 @@ from galerobust import (
     kernel_lattice_basis,
     rank,
 )
+from galerobust.gale import _lagrange_reduced_columns
 
-from conftest import reference_kernel, reference_rank
+from conftest import reference_kernel, reference_lagrange, reference_rank
 
 
 @st.composite
@@ -108,3 +118,105 @@ def test_trusted_binomial_passes_validation(z):
     b = Binomial.from_vector(z)
     assert Binomial(plus=b.plus, minus=b.minus) == b
     assert b.vector in (tuple(z), tuple(-x for x in z))
+
+
+@st.composite
+def _planar_bases(draw):
+    """Two independent columns of length 2-8, entries up to 2**70.
+
+    Some draws give both columns the same norm (one is a signed
+    permutation of the other), some shear a short basis by a unimodular
+    [[1 + s*t, s], [t, 1]] so that the reduction takes many passes.
+    """
+    m = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["free", "equal", "shear"]))
+    bound = draw(st.sampled_from([1, 3, 2**20, 2**70]))
+    entry = st.integers(-bound, bound)
+    v = draw(st.lists(entry, min_size=m, max_size=m))
+    if kind == "equal":
+        perm = draw(st.permutations(range(m)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+        w = [sg * v[i] for sg, i in zip(signs, perm)]
+    else:
+        w = draw(st.lists(entry, min_size=m, max_size=m))
+    if kind == "shear":
+        s, t = draw(st.integers(-(2**30), 2**30)), draw(st.integers(-(2**30), 2**30))
+        v, w = (
+            [(1 + s * t) * x + t * y for x, y in zip(v, w)],
+            [s * x + y for x, y in zip(v, w)],
+        )
+    return v, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(_planar_bases())
+def test_gram_lagrange_matches_vector_form(basis):
+    v, w = basis
+    # Dependent columns span no planar lattice.
+    assume(any(x * y2 != x2 * y for (x, y), (x2, y2) in combinations(zip(v, w), 2)))
+    k = IntegerMatrix(list(zip(v, w)))
+    assert _lagrange_reduced_columns(k) == reference_lagrange(k)
+
+
+@st.composite
+def _wide_kernels(draw):
+    """A = ker(B^T)^T for random Gale rows B, n up to 40.
+
+    A comes out of column_hnf, so it is sparse and in echelon form; read
+    from the last column, its elimination meets rows with 0 in the pivot
+    column and needs row swaps.  Rows of B repeat or vanish at times.
+    """
+    n = draw(st.integers(3, 40))
+    bound = draw(st.sampled_from([1, 3, 9, 2**20]))
+    pool = [(0, 0), (1, 0), (0, 1)]
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "free", "free", "pool", "repeat"]))
+        if kind == "pool":
+            rows.append(draw(st.sampled_from(pool)))
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(
+                (draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound)))
+            )
+    bt = IntegerMatrix([[r[0] for r in rows], [r[1] for r in rows]])
+    if rank(bt) < 2:
+        return None
+    return kernel_lattice_basis(bt).transpose()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_kernels())
+def test_wide_sparse_kernels_are_saturated(a):
+    assume(a is not None)
+    k = kernel_lattice_basis(a)
+    assert k.ncols == 2
+    assert (a @ k).is_zero()
+    g = 0
+    for (x, y), (x2, y2) in combinations(k.rows, 2):
+        g = gcd(g, x * y2 - x2 * y)
+    assert g == 1
+    if a.ncols <= 12:
+        assert k == reference_kernel(a)
+
+
+# sha256 of the Gale rows of _golden_matrices(), recorded before the
+# elimination became forward-only and the Lagrange reduction moved onto
+# the Gram matrix.
+GOLDEN_GALE_DIGEST = "99e7b6e7b7d32589f8a2b5ed70121d44ddaa5fe223e39d0884c0c9c82e48d7cc"
+
+
+def _golden_matrices():
+    """Four seeded dense (n-2) x n matrices per n in 12..24, entries in +-9."""
+    for n in range(12, 25):
+        for s in range(4):
+            rng = random.Random(n * 100 + s)
+            yield IntegerMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)])
+
+
+def test_gale_rows_match_golden_digest():
+    h = hashlib.sha256()
+    for a in _golden_matrices():
+        h.update(repr(gale_transform(a).rows).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_GALE_DIGEST
