@@ -9,7 +9,13 @@ native column is reported as unavailable).  Then prints the size curve
 of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
 +-9, and for n = 64 and 100 on A = ker(B^T)^T, the kernel of random
 nonzero Gale rows B with entries in +-9: median and max milliseconds
-over five matrices per row.  Then, over 100 seeded problems drawn like
+over five matrices per row.  Then the median microseconds per op (best
+of N) of each Gale stage on 100 seeded dense (n-2) x n matrices, n
+12..18, entries in +-9: the forward elimination, the rest of
+``kernel_lattice_basis``, the Lagrange reduction with the configuration,
+``reduce_configuration``, ``is_positively_graded`` and ``bouquets``; the
+kernel tail and the Lagrange stage are differences of two timings of
+the same matrix.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
 of the plain fan union, the symmetrized fan union and the Graver
 binomials built from it.  Last,
@@ -32,6 +38,7 @@ from pathlib import Path
 import galerobust
 from galerobust import (
     IntegerMatrix,
+    bouquets,
     fan_hilbert_union,
     gale_transform,
     is_positively_graded,
@@ -40,7 +47,8 @@ from galerobust import (
     reduce_configuration,
 )
 from galerobust._speed import _pure
-from galerobust.errors import ZeroRowError
+from galerobust.errors import RankError, ZeroRowError
+from galerobust.intlinalg import _bareiss_forward
 from galerobust.hilbert import symmetrized_fan_hilbert_union
 from galerobust.toric import _pair_binomials
 
@@ -115,6 +123,46 @@ def bench_gale_transform():
             print(f"{kind:<12} {n:>4} {statistics.median(times):>12.1f} {max(times):>9.1f}")
 
 
+def bench_gale_stages(repeat):
+    rng = random.Random(1)
+    stages = {
+        name: []
+        for name in (
+            "forward elimination",
+            "kernel tail",
+            "Lagrange and configuration",
+            "reduce_configuration",
+            "is_positively_graded",
+            "bouquets",
+        )
+    }
+    done = 0
+    while done < 100:
+        n = rng.randint(12, 18)
+        a = _dense(rng, n)
+        try:
+            b = gale_transform(a)
+        except (RankError, ZeroRowError):
+            continue
+        done += 1
+        forward = _time(lambda: _bareiss_forward([row[::-1] for row in a.rows], n), repeat)
+        kernel = _time(lambda: kernel_lattice_basis(a), repeat)
+        whole = _time(lambda: gale_transform(a), repeat)
+        for name, t in (
+            ("forward elimination", forward),
+            ("kernel tail", kernel - forward),
+            ("Lagrange and configuration", whole - kernel),
+            ("reduce_configuration", _time(lambda: reduce_configuration(b), repeat)),
+            ("is_positively_graded", _time(lambda: is_positively_graded(b), repeat)),
+            ("bouquets", _time(lambda: bouquets(b), repeat)),
+        ):
+            stages[name].append(t * 1e6)
+    print("Gale stages: 100 seeded dense (n-2) x n matrices, n 12..18, entries in +-9")
+    print(f"{'stage':<30} {'median (us)':>12}")
+    for name, times in stages.items():
+        print(f"{name:<30} {statistics.median(times):>12.1f}")
+
+
 def _fan_problems(count, seed):
     """Corank-2, positively graded matrices, n in 4..7, entries in +-4."""
     rng = random.Random(seed)
@@ -186,6 +234,8 @@ def main():
     bench_box_scan(args.repeat)
     print()
     bench_gale_transform()
+    print()
+    bench_gale_stages(args.repeat)
     print()
     bench_fan_layers(args.repeat)
     print()

@@ -46,7 +46,6 @@ _HOMES = {
     "intlinalg": (
         "IntegerMatrix",
         "determinant",
-        "hermite_normal_form",
         "kernel_lattice_basis",
         "rank",
     ),

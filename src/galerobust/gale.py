@@ -16,7 +16,7 @@ from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
 from .intlinalg import IntegerMatrix, _trusted_matrix, kernel_lattice_basis
-from .planar import Vec2
+from .planar import _ZERO_VECTOR, Vec2
 
 
 class GaleConfiguration(_Value, uncompared=("source",)):
@@ -37,10 +37,7 @@ class GaleConfiguration(_Value, uncompared=("source",)):
                 raise ValueError("Gale rows must be 2-dimensional")
             t = (int(row[0]), int(row[1]))
             if t == (0, 0):
-                raise ZeroRowError(
-                    f"Gale row {i} is zero; variable {i} lies in no kernel vector "
-                    "and must be removed before analysis"
-                )
+                raise _zero_row_error(i)
             clean.append(t)
         object.__setattr__(self, "rows", tuple(clean))
         object.__setattr__(self, "source", source)
@@ -52,6 +49,13 @@ class GaleConfiguration(_Value, uncompared=("source",)):
     def kernel_vector(self, u: tuple[int, int]) -> tuple[int, ...]:
         """The kernel element B @ u of the ambient lattice Z^n."""
         return tuple(r[0] * u[0] + r[1] * u[1] for r in self.rows)
+
+
+def _zero_row_error(i: int) -> ZeroRowError:
+    return ZeroRowError(
+        f"Gale row {i} is zero; variable {i} lies in no kernel vector "
+        "and must be removed before analysis"
+    )
 
 
 class ReducedGaleConfiguration(_Value):
@@ -155,8 +159,14 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     r = n - k.ncols
     if r != n - 2:
         raise RankError(f"rank {r} != ncols - 2 = {n - 2}; kernel is not planar")
-    k = _lagrange_reduced_columns(k)
-    return GaleConfiguration(rows=tuple(k.rows), source=a)
+    # The reduced rows are int pairs already; only the zero check is left.
+    rows = _lagrange_reduced_columns(k).rows
+    if (0, 0) in rows:
+        raise _zero_row_error(rows.index((0, 0)))
+    config = object.__new__(GaleConfiguration)
+    object.__setattr__(config, "rows", rows)
+    object.__setattr__(config, "source", a)
+    return config
 
 
 def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
@@ -181,39 +191,65 @@ def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
 def is_positively_graded(b) -> bool:
     """Whether {alpha in Z^2 : B alpha >= 0 componentwise} = {0}.
 
-    Exactly equivalent to the rows of B positively spanning the plane:
-    after deduplicating directions, every counterclockwise gap between
-    consecutive directions must be strictly less than pi.  Accepts a
-    GaleConfiguration or any sequence of nonzero 2D integer rows.
+    Exactly equivalent to the rows of B positively spanning the plane,
+    that is, no closed half-plane holds them all.  One pass, no sort:
+    against the first row r0, find the most counterclockwise row L
+    strictly left of r0 and the most clockwise row R strictly right of
+    it, and note whether some row points opposite r0.  Every gap between
+    consecutive directions is below pi unless one side of r0 is empty or
+    the gap from L to R reaches pi, which a row opposite r0 splits and
+    which is below pi iff cross(L, R) > 0.  Accepts a GaleConfiguration
+    or any sequence of nonzero 2D integer rows; a zero row raises
+    ValueError.
     """
     rows = b.rows if isinstance(b, GaleConfiguration) else tuple(map(tuple, b))
-    dirs = sorted(
-        {planar.primitive(row) for row in rows},
-        key=functools.cmp_to_key(planar.angle_cmp),
-    )
-    if len(dirs) < 2:
+    if not rows:
         return False
-    for i, d in enumerate(dirs):
-        nxt = dirs[(i + 1) % len(dirs)]
-        if planar.cross(d, nxt) <= 0:
-            return False
-    return True
+    # Left and right start at r0 and stay there while that side is empty.
+    r0 = left = right = rows[0]
+    x0, y0 = r0
+    opposite = False
+    for row in rows:
+        x, y = row
+        c = x0 * y - y0 * x
+        if c > 0:
+            if left[0] * y - left[1] * x > 0:
+                left = row
+        elif c < 0:
+            if right[0] * y - right[1] * x < 0:
+                right = row
+        elif x0 * x + y0 * y < 0:
+            opposite = True
+        elif not (x or y):
+            raise ValueError(_ZERO_VECTOR)
+    if left is r0 or right is r0:
+        return False
+    return opposite or left[0] * right[1] - left[1] * right[0] > 0
 
 
 def bouquets(b: GaleConfiguration) -> list[Bouquet]:
     """Partition of the variables into maximal collinear classes.
 
-    The common line of each class is reported by a sign-canonical
-    primitive direction; a bouquet is mixed when its rows point along
-    both rays of the line.  Bouquets are listed by smallest member.
+    One pass groups the rows by the sign-canonical primitive direction
+    of their line; a bouquet is mixed when both primitive ends of the
+    line occur among its rows.  Groups open in row order, so bouquets
+    come out listed by smallest member.
     """
     groups: dict[Vec2, list[int]] = {}
-    for i, row in enumerate(b.rows):
-        d = planar.sign_canonical(planar.primitive(row))
+    ends: set[Vec2] = set()
+    for i, (x, y) in enumerate(b.rows):
+        g = gcd(x, y)
+        if not g:
+            raise ValueError(_ZERO_VECTOR)
+        x, y = x // g, y // g
+        ends.add((x, y))
+        d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
         groups.setdefault(d, []).append(i)
-    out = []
-    for d, members in groups.items():
-        signs = {1 if planar.dot(b.rows[i], d) > 0 else -1 for i in members}
-        out.append(Bouquet(members=frozenset(members), direction=d, mixed=len(signs) == 2))
-    out.sort(key=lambda bq: min(bq.members))
-    return out
+    return [
+        Bouquet(
+            members=frozenset(members),
+            direction=d,
+            mixed=d in ends and (-d[0], -d[1]) in ends,
+        )
+        for d, members in groups.items()
+    ]

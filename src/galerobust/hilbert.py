@@ -84,19 +84,24 @@ def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
     det(v1, b) >= 0; then v(i+1) = c·v(i) - v(i-1) with c the smallest
     integer keeping v(i+1) in the cone, until b is reached.  Consecutive
     elements span determinant 1, and the number of steps is the length of
-    the continued fraction of det / det(v1, b).  Always contains both
-    generators; equals (a, b) exactly when det(a, b) = 1.
+    the continued fraction of det / det(v1, b).  The determinants
+    r(i) = det(v(i), b) are carried as ints: c = ceil(r(i-1) / r(i)),
+    r(i+1) = c·r(i) - r(i-1), and the walk stops at r(i) = 0, where
+    v(i) = b.  Always contains both generators; equals (a, b) exactly
+    when det(a, b) = 1.
     """
     a, b = cone.a, cone.b
     # cross(a, (-t, s)) = s*a0 + t*a1 = 1; shifting along a by k puts
     # cross(v1, b) into [0, det).
     _, s, t = _xgcd(a[0], a[1])
-    k = cross((-t, s), b) // cone.det
+    r_prev = cross(a, b)
+    k, r_cur = divmod(cross((-t, s), b), r_prev)
     prev, cur = a, (-t - k * a[0], s - k * a[1])
     basis = [a, cur]
-    while cur != b:
-        c = -(-cross(prev, b) // cross(cur, b))
+    while r_cur:
+        c = -(-r_prev // r_cur)
         prev, cur = cur, (c * cur[0] - prev[0], c * cur[1] - prev[1])
+        r_prev, r_cur = r_cur, c * r_cur - r_prev
         basis.append(cur)
     return tuple(basis)
 

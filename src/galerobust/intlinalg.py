@@ -9,8 +9,8 @@ kernel basis of full rank that may miss lattice points; one triangular
 solve against a basis of its column lattice, found modulo the last
 pivot, saturates it.  Run from the last column to the first, this
 leaves that basis in echelon form, so its canonical Hermite form costs
-only the reduction above the pivots.  `hermite_normal_form`, which
-carries a unimodular transform, serves callers that need the transform.
+only the reduction above the pivots.  `column_hnf` is the one Hermite
+normal form here; it carries no unimodular transform.
 
 All arithmetic uses unbounded Python integers, so results are exact for
 inputs of any magnitude; overflow cannot occur.  Matrices are immutable
@@ -135,54 +135,6 @@ def _trusted_matrix(rows: tuple[IntVec, ...]) -> IntegerMatrix:
     return m
 
 
-def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U unimodular, U @ M = H, pivots positive, entries
-    above each pivot reduced into [0, pivot), and zero rows last.  The
-    form H is the canonical representative of the row lattice of M.
-    """
-    nr, nc = m.nrows, m.ncols
-    h = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    piv = 0
-    for col in range(nc):
-        if piv >= nr:
-            break
-        sel = next((r for r in range(piv, nr) if h[r][col] != 0), None)
-        if sel is None:
-            continue
-        if sel != piv:
-            h[piv], h[sel] = h[sel], h[piv]
-            u[piv], u[sel] = u[sel], u[piv]
-        for r in range(piv + 1, nr):
-            if h[r][col] == 0:
-                continue
-            a, b = h[piv][col], h[r][col]
-            g, s, t = _xgcd(a, b)
-            p, q = a // g, b // g
-            # Unimodular 2x2 transform on rows (piv, r); det = s*p + t*q = 1.
-            h[piv], h[r] = (
-                [s * x + t * y for x, y in zip(h[piv], h[r])],
-                [-q * x + p * y for x, y in zip(h[piv], h[r])],
-            )
-            u[piv], u[r] = (
-                [s * x + t * y for x, y in zip(u[piv], u[r])],
-                [-q * x + p * y for x, y in zip(u[piv], u[r])],
-            )
-        if h[piv][col] < 0:
-            h[piv] = [-x for x in h[piv]]
-            u[piv] = [-x for x in u[piv]]
-        pv = h[piv][col]
-        for r in range(piv):
-            q = h[r][col] // pv
-            if q != 0:
-                h[r] = [x - q * y for x, y in zip(h[r], h[piv])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[piv])]
-        piv += 1
-    return _trusted_matrix(tuple(map(tuple, h))), _trusted_matrix(tuple(map(tuple, u)))
-
-
 def _bareiss_forward(
     a: list[Sequence[int]], ncols: int
 ) -> tuple[list[int], list[Sequence[int]], int]:
@@ -241,17 +193,49 @@ def determinant(m: IntegerMatrix) -> int:
 def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
     """Canonical basis of the column lattice of M, as matrix columns.
 
-    Computed as the transpose of the row HNF of the transpose, with zero
-    rows dropped.  Two matrices have equal column lattices iff their
-    column_hnf forms are identical, which makes this a convenient lattice
-    equality test.
+    The nonzero rows of the row Hermite normal form of M^T, transposed:
+    pivots positive, entries above each pivot reduced into [0, pivot).
+    Each column is cleared below its pivot by unimodular 2x2 steps on
+    row pairs; no transform is carried.  Two matrices have equal column
+    lattices iff their column_hnf forms are identical, which makes this
+    a convenient lattice equality test.
     """
-    h = hermite_normal_form(m.transpose())[0].rows if m.ncols else ()
-    nonzero = [row for row in h if any(x != 0 for x in row)]
-    if not nonzero:
+    h = [list(c) for c in zip(*m.rows)]
+    nr = len(h)
+    piv = 0
+    for col in range(m.nrows):
+        if piv >= nr:
+            break
+        sel = next((r for r in range(piv, nr) if h[r][col] != 0), None)
+        if sel is None:
+            continue
+        if sel != piv:
+            h[piv], h[sel] = h[sel], h[piv]
+        for r in range(piv + 1, nr):
+            if h[r][col] == 0:
+                continue
+            a, b = h[piv][col], h[r][col]
+            g, s, t = _xgcd(a, b)
+            p, q = a // g, b // g
+            # Unimodular 2x2 transform on rows (piv, r); det = s*p + t*q = 1.
+            h[piv], h[r] = (
+                [s * x + t * y for x, y in zip(h[piv], h[r])],
+                [-q * x + p * y for x, y in zip(h[piv], h[r])],
+            )
+        if h[piv][col] < 0:
+            h[piv] = [-x for x in h[piv]]
+        pv = h[piv][col]
+        for r in range(piv):
+            q = h[r][col] // pv
+            if q != 0:
+                h[r] = [x - q * y for x, y in zip(h[r], h[piv])]
+        piv += 1
+    if not piv:
         # The column lattice is trivial; encode as a single zero column.
         return _trusted_matrix(((0,),) * m.nrows)
-    return _trusted_matrix(tuple(nonzero)).transpose()
+    # Rows from piv on are zero: every column either has a pivot or is
+    # zero in all of them.
+    return _trusted_matrix(tuple(zip(*h[:piv])))
 
 
 def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[int]]:
@@ -268,14 +252,21 @@ def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[in
         piv[j] = d
         left = []
         for g in rest:
-            if g[j]:
-                # The new pivot gcd(piv[j], g[j]) <= g[j] < d survives mod d.
-                h, s, t = _xgcd(piv[j], g[j])
-                p, q = piv[j] // h, g[j] // h
-                piv, g = (
-                    [(s * x + t * y) % d for x, y in zip(piv, g)],
-                    [(p * y - q * x) % d for x, y in zip(piv, g)],
-                )
+            gj = g[j]
+            if gj:
+                pj = piv[j]
+                if gj % pj == 0:
+                    # The usual case once the pivot has shrunk to a gcd.
+                    q = gj // pj
+                    g = [(y - q * x) % d for x, y in zip(piv, g)]
+                else:
+                    # The new pivot gcd(pj, gj) <= gj < d survives mod d.
+                    h, s, t = _xgcd(pj, gj)
+                    p, q = pj // h, gj // h
+                    piv, g = (
+                        [(s * x + t * y) % d for x, y in zip(piv, g)],
+                        [(p * y - q * x) % d for x, y in zip(piv, g)],
+                    )
             if any(g[j + 1 :]):
                 left.append(g)
         basis.append(piv)
@@ -283,13 +274,17 @@ def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[in
     return basis
 
 
+def _inexact(d: int) -> ConsistencyError:
+    return ConsistencyError(
+        f"division by {d} left a remainder; the lattice basis behind it is wrong"
+    )
+
+
 def _divide_exactly(v: list[int], d: int) -> list[int]:
     """v / d entrywise; the lattice argument of the caller says it is exact."""
     q = [divmod(x, d) for x in v]
     if any(rem for _, rem in q):
-        raise ConsistencyError(
-            f"division by {d} left a remainder; the lattice basis behind it is wrong"
-        )
+        raise _inexact(d)
     return [x for x, _ in q]
 
 
@@ -300,14 +295,17 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     echelon form U with last pivot D.  For each free column f, back
     substitution from the last pivot up gives the kernel vector K_f with
     D at f and 0 at the other free columns: at pivot p of row i,
-    K_f[p] = -(sum over j > p of U[i][j] K_f[j]) / U[i][p].  K_f is D
+    K_f[p] = -(sum over j > p of U[i][j] K_f[j]) / U[i][p], one dot
+    product and one divmod per pivot row and kernel vector.  K_f is D
     times a rational kernel vector, so by Cramer's rule it is integral
-    and every division is exact; in column order it has no entry past f.
+    and every division is exact (a remainder raises ConsistencyError);
+    in column order it has no entry past f.
     These rows K span the rational kernel but may miss lattice points.
     With T a lower-triangular basis of the column lattice of K (K = T V
     for an integer V), the rows of S = T^-1 K span the whole kernel
     lattice: the maximal minors of S have gcd 1.  That lattice contains
-    |D|*Z^r, so T is found mod |D|.  S is found by forward substitution
+    |D|*Z^r, so T is found mod |D|, with an xgcd step only where a pivot
+    does not divide the entry below it.  S is found by forward substitution
     with exact division, so row i of S still ends at the i-th free column.
     Back in the original column order the rows of S, last to first, are
     in echelon form, and column_hnf only has to reduce above the pivots.
@@ -327,8 +325,11 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
         k.append(v)
     for row, p in zip(reversed(u), reversed(pivots)):
         rest = row[p + 1 :]
-        sums = [-sum(map(mul, rest, v[p + 1 :])) for v in k]
-        for v, x in zip(k, _divide_exactly(sums, row[p])):
+        lead = row[p]
+        for v in k:
+            x, rem = divmod(-sum(map(mul, rest, v[p + 1 :])), lead)
+            if rem:
+                raise _inexact(lead)
             v[p] = x
     # Column j of T is t[j]; the other columns of K are D times unit vectors.
     t = _triangular_basis_mod([[v[p] for v in k] for p in pivots], abs(d), len(free))

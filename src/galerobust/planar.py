@@ -12,6 +12,8 @@ from typing import Iterable, Sequence
 
 Vec2 = tuple[int, int]
 
+_ZERO_VECTOR = "zero vector has no primitive representative"
+
 
 def cross(u: Sequence[int], v: Sequence[int]) -> int:
     """2D cross product u1*v2 - u2*v1."""
@@ -26,7 +28,7 @@ def primitive(v: Sequence[int]) -> Vec2:
     """Scale a nonzero integer vector so its entries are coprime."""
     x, y = v
     if x == 0 and y == 0:
-        raise ValueError("zero vector has no primitive representative")
+        raise ValueError(_ZERO_VECTOR)
     g = gcd(abs(x), abs(y))
     return (x // g, y // g)
 

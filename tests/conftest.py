@@ -17,8 +17,9 @@ from galerobust import (
     rank,
 )
 from galerobust.errors import ZeroRowError
-from galerobust.intlinalg import column_hnf, hermite_normal_form
-from galerobust.planar import angle_cmp, convex_hull, cross
+from galerobust.gale import Bouquet, GaleConfiguration
+from galerobust.intlinalg import _xgcd, column_hnf
+from galerobust.planar import angle_cmp, convex_hull, cross, dot, primitive, sign_canonical
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,6 +90,54 @@ def acceptance_suite():
     return random_valid_instances(100, seed=20260810)
 
 
+def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """Row-style Hermite normal form with its unimodular transform.
+
+    Returns (H, U) with U unimodular, U @ M = H, pivots positive, entries
+    above each pivot reduced into [0, pivot), and zero rows last.  The
+    package's ``column_hnf`` runs the same steps on M^T without U.
+    """
+    nr, nc = m.nrows, m.ncols
+    h = [list(r) for r in m.rows]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    piv = 0
+    for col in range(nc):
+        if piv >= nr:
+            break
+        sel = next((r for r in range(piv, nr) if h[r][col] != 0), None)
+        if sel is None:
+            continue
+        if sel != piv:
+            h[piv], h[sel] = h[sel], h[piv]
+            u[piv], u[sel] = u[sel], u[piv]
+        for r in range(piv + 1, nr):
+            if h[r][col] == 0:
+                continue
+            a, b = h[piv][col], h[r][col]
+            g, s, t = _xgcd(a, b)
+            p, q = a // g, b // g
+            # Unimodular 2x2 transform on rows (piv, r); det = s*p + t*q = 1.
+            h[piv], h[r] = (
+                [s * x + t * y for x, y in zip(h[piv], h[r])],
+                [-q * x + p * y for x, y in zip(h[piv], h[r])],
+            )
+            u[piv], u[r] = (
+                [s * x + t * y for x, y in zip(u[piv], u[r])],
+                [-q * x + p * y for x, y in zip(u[piv], u[r])],
+            )
+        if h[piv][col] < 0:
+            h[piv] = [-x for x in h[piv]]
+            u[piv] = [-x for x in u[piv]]
+        pv = h[piv][col]
+        for r in range(piv):
+            q = h[r][col] // pv
+            if q != 0:
+                h[r] = [x - q * y for x, y in zip(h[r], h[piv])]
+                u[r] = [x - q * y for x, y in zip(u[r], u[piv])]
+        piv += 1
+    return IntegerMatrix(h), IntegerMatrix(u)
+
+
 def reference_rank(m: IntegerMatrix) -> int:
     """Rank as the number of nonzero rows of the Hermite normal form."""
     h, _ = hermite_normal_form(m)
@@ -145,6 +194,38 @@ def reference_lagrange(k: IntegerMatrix) -> IntegerMatrix:
     if tuple(w) < tuple(v):
         v, w = w, v
     return IntegerMatrix([[a, b] for a, b in zip(v, w)])
+
+
+def reference_is_positively_graded(b) -> bool:
+    """Grading by an angle sort, as before the one-pass test.
+
+    Deduplicates the primitive directions, sorts them by exact angle and
+    requires every counterclockwise gap between neighbours to be below
+    pi.  A zero row raises ValueError from ``planar.primitive``.
+    """
+    rows = b.rows if isinstance(b, GaleConfiguration) else tuple(map(tuple, b))
+    dirs = sorted({primitive(row) for row in rows}, key=functools.cmp_to_key(angle_cmp))
+    if len(dirs) < 2:
+        return False
+    for i, d in enumerate(dirs):
+        nxt = dirs[(i + 1) % len(dirs)]
+        if cross(d, nxt) <= 0:
+            return False
+    return True
+
+
+def reference_bouquets(b) -> list[Bouquet]:
+    """Bouquets by dot-product signs and a final sort, as before the one pass."""
+    groups: dict = {}
+    for i, row in enumerate(b.rows):
+        d = sign_canonical(primitive(row))
+        groups.setdefault(d, []).append(i)
+    out = []
+    for d, members in groups.items():
+        signs = {1 if dot(b.rows[i], d) > 0 else -1 for i in members}
+        out.append(Bouquet(members=frozenset(members), direction=d, mixed=len(signs) == 2))
+    out.sort(key=lambda bq: min(bq.members))
+    return out
 
 
 def reference_binomials(b, vectors) -> frozenset[Binomial]:

@@ -72,10 +72,20 @@ def test_gale_transform_large_n_is_saturated_and_fast():
 
 
 def test_gale_transform_zero_row():
-    # Kernel of [[1, 0, 0], [0, 1, -1]] is spanned by (0, 1, 1): the first
-    # variable appears in no kernel vector.
-    with pytest.raises(ZeroRowError):
-        gale_transform(IntegerMatrix([[1, 0, 0, 0], [0, 1, -1, 0]]))
+    # The kernel of the first matrix is spanned by (0, 1, 1, 0) and
+    # (0, 0, 0, 1): the first variable appears in no kernel vector.  The
+    # error names the first zero row.
+    for rows, i in (
+        (((1, 0, 0, 0), (0, 1, -1, 0)), 0),
+        (((0, 1, 0, 0), (1, 0, -1, 0)), 1),
+        (((1, 1, 1, 1, 0), (0, 1, 2, 3, 0), (0, 0, 0, 0, 1)), 4),
+    ):
+        with pytest.raises(ZeroRowError) as exc:
+            gale_transform(IntegerMatrix(rows))
+        assert str(exc.value) == (
+            f"Gale row {i} is zero; variable {i} lies in no kernel vector "
+            "and must be removed before analysis"
+        )
 
 
 def test_configuration_rejects_zero_rows_and_small_n():

@@ -7,13 +7,12 @@ import pytest
 from galerobust import (
     IntegerMatrix,
     determinant,
-    hermite_normal_form,
     kernel_lattice_basis,
     rank,
 )
 from galerobust.intlinalg import column_hnf
 
-from conftest import EXAMPLE_A, lattices_equal, reference_kernel
+from conftest import EXAMPLE_A, hermite_normal_form, lattices_equal, reference_kernel
 
 
 def test_constructor_rejects_bad_input():
@@ -216,3 +215,17 @@ def test_kernel_of_wide_matrix_matches_reference(d):
     rng = random.Random(d * 100 + 24)
     m = IntegerMatrix([[rng.randint(-9, 9) for _ in range(24)] for _ in range(d)])
     assert kernel_lattice_basis(m) == reference_kernel(m)
+
+
+def test_column_hnf_matches_transform_hnf_of_transpose():
+    # column_hnf runs the reference's steps on M^T without the transform.
+    rng = random.Random(31)
+    for _ in range(80):
+        nr = rng.randint(1, 6)
+        nc = rng.randint(1, 6)
+        m = IntegerMatrix(
+            [[rng.choice((0, rng.randint(-9, 9))) for _ in range(nc)] for _ in range(nr)]
+        )
+        h, _ = hermite_normal_form(m.transpose())
+        nonzero = [row for row in h.rows if any(row)] or [(0,) * nr]
+        assert column_hnf(m) == IntegerMatrix(nonzero).transpose()
