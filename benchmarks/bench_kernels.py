@@ -3,9 +3,8 @@ the fan layers of ``is_strongly_robust`` and the CLI per subcommand.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
-Times the oracle's box scan on growing workloads and prints a table with
-the speedup of the compiled path.  Runs fine without the extension (the
-native column is reported as unavailable).  Then prints the size curve
+Times the oracle's box scan (best of N seconds) on growing radii over
+random Gale rows with entries in +-6.  Then prints the size curve
 of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
 +-9, and for n = 64 and 100 on A = ker(B^T)^T, the kernel of random
 nonzero Gale rows B with entries in +-9: median and max milliseconds
@@ -46,16 +45,11 @@ from galerobust import (
     rank,
     reduce_configuration,
 )
-from galerobust._speed import _pure
 from galerobust.errors import RankError, ZeroRowError
 from galerobust.intlinalg import _bareiss_forward
 from galerobust.hilbert import symmetrized_fan_hilbert_union
+from galerobust.oracle import _box_scan
 from galerobust.toric import _pair_binomials
-
-try:
-    from galerobust._speed import _native
-except ImportError:
-    _native = None
 
 
 def _random_rows(rng, n, bound):
@@ -78,20 +72,12 @@ def _time(fn, repeat):
 
 def bench_box_scan(repeat):
     rng = random.Random(2)
-    print("graver_box_scan: divisibility-minimal kernel vectors in a box")
-    print(f"{'radius':>6} {'n':>4} {'pure (s)':>10} {'native (s)':>11} {'speedup':>8}")
+    print("box scan: divisibility-minimal kernel vectors in a box")
+    print(f"{'radius':>6} {'n':>4} {'best (s)':>10}")
     for radius, n in ((10, 4), (25, 5), (50, 6), (100, 6)):
         rows = _random_rows(rng, n, 6)
-
-        def run(mod):
-            mod.graver_box_scan(rows, radius)
-
-        tp = _time(lambda: run(_pure), repeat)
-        if _native is None:
-            print(f"{radius:>6} {n:>4} {tp:>10.4f} {'n/a':>11} {'-':>8}")
-        else:
-            tn = _time(lambda: run(_native), repeat)
-            print(f"{radius:>6} {n:>4} {tp:>10.4f} {tn:>11.4f} {tp / tn:>8.1f}")
+        t = _time(lambda: _box_scan(rows, radius), repeat)
+        print(f"{radius:>6} {n:>4} {t:>10.4f}")
 
 
 def _dense(rng, n):
@@ -229,8 +215,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="best of N timings")
     args = parser.parse_args()
-    if _native is None:
-        print("note: compiled kernel unavailable, timing the pure path only\n")
     bench_box_scan(args.repeat)
     print()
     bench_gale_transform()

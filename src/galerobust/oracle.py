@@ -7,13 +7,14 @@ of kernel vectors for divisibility-minimal elements.  None of it touches
 the Hilbert-basis code paths, which is the point: agreement between the
 two routes is the strongest correctness check the package has.
 
-The module is cheap to import: ``fractions``, the box-scan backend and
-``Binomial`` are imported inside the functions that use them.
+The module is cheap to import: ``fractions`` and ``Binomial`` are
+imported inside the functions that use them.
 """
 
 from __future__ import annotations
 
 import warnings
+from math import gcd
 
 from ._value import _Value
 from .errors import GradingError, ShellWarning
@@ -96,8 +97,9 @@ def is_indispensable_oracle(b: GaleConfiguration, binomial) -> bool:
     """Definition check: fiber of the plus part is exactly {plus, minus}.
 
     Accepts a Binomial or a raw (plus, minus) pair; raw pairs with
-    overlapping supports are legal input and simply return False.  The
-    difference plus - minus must be a kernel vector of the configuration.
+    overlapping supports are legal input and simply return False.  Both
+    parts must have length n, and plus - minus must be a kernel vector of
+    the configuration.
     """
     from .toric import Binomial
 
@@ -105,6 +107,8 @@ def is_indispensable_oracle(b: GaleConfiguration, binomial) -> bool:
         plus, minus = binomial.plus, binomial.minus
     else:
         plus, minus = tuple(binomial[0]), tuple(binomial[1])
+    if not len(plus) == len(minus) == b.n:
+        raise ValueError("plus and minus must both have the configuration's length")
     if any(p > 0 and m > 0 for p, m in zip(plus, minus)):
         return False
     diff = tuple(p - m for p, m in zip(plus, minus))
@@ -139,6 +143,61 @@ def _solve_in_kernel(b: GaleConfiguration, z):
     return u
 
 
+def _box_scan(rows, radius: int) -> list[tuple[int, int]]:
+    """u in [-radius, radius]^2 \\ {0} whose B u no other box vector divides.
+
+    z = B u is kept iff no other nonzero u' in the box gives z' with
+    z'+ <= z+ and z'- <= z- componentwise.  Only primitive u can qualify,
+    since B(u/g) divides B u.  Candidates are taken by increasing
+    (|z|_1, u1, u2); each needs testing only against the vectors already
+    kept, because a box vector that divides it has a strictly smaller
+    1-norm and so is kept or divided by a kept one.
+
+    Each (z+, z-) is packed into one int, 2n fields of ``width`` bits
+    whose top bit is a guard that no |z_i| reaches.  With every guard of
+    v set, subtracting g borrows inside a field exactly where g's entry
+    exceeds v's, and never across fields, so g divides v iff all guards
+    survive.
+    """
+    n = len(rows)
+    width = (radius * max(abs(x) + abs(y) for x, y in rows)).bit_length() + 1
+    low = n * width
+    guard = 0
+    for bit in range(width - 1, 2 * low, width):
+        guard |= 1 << bit
+    shifts = range(0, low, width)
+    cands = []
+    # B(-u) = -B u: pack each u with u1 > 0, or u1 == 0 < u2, once for both.
+    for u1 in range(radius + 1):
+        line = [(bx * u1, by, shift) for (bx, by), shift in zip(rows, shifts)]
+        for u2 in range(-radius if u1 else 1, radius + 1):
+            if gcd(u1, u2) != 1:
+                continue
+            norm = plus = minus = 0
+            for a, by, shift in line:
+                z = a + by * u2
+                if z > 0:
+                    norm += z
+                    plus |= z << shift
+                elif z < 0:
+                    norm -= z
+                    minus |= -z << shift
+            cands.append((norm, u1, u2, plus | minus << low))
+            cands.append((norm, -u1, -u2, minus | plus << low))
+    cands.sort()
+    kept_packed = []
+    kept = []
+    for _, u1, u2, v in cands:
+        top = v | guard
+        for g in kept_packed:
+            if (top - g) & guard == guard:
+                break
+        else:
+            kept_packed.append(v)
+            kept.append((u1, u2))
+    return kept
+
+
 def graver_bruteforce(b: GaleConfiguration, radius: int) -> frozenset[Binomial]:
     """Primitive binomials found by exhaustive search over a kernel box.
 
@@ -148,12 +207,11 @@ def graver_bruteforce(b: GaleConfiguration, radius: int) -> frozenset[Binomial]:
     SHELL_WIDTH); if any surviving element touches the outer shell a
     ShellWarning is emitted because the box was probably too small.
     """
-    from . import _speed
     from .toric import Binomial
 
     if radius < 1:
         raise ValueError("radius must be positive")
-    kept = _speed.graver_box_scan(list(b.rows), radius)
+    kept = _box_scan(b.rows, radius)
     if any(max(abs(u1), abs(u2)) > radius - SHELL_WIDTH for u1, u2 in kept):
         warnings.warn(
             ShellWarning(

@@ -247,6 +247,44 @@ def reference_binomials(b, vectors) -> frozenset[Binomial]:
     return frozenset(out)
 
 
+def reference_box_scan(rows, radius: int) -> list[tuple[int, int]]:
+    """The oracle's box scan with tuple parts, as before they were packed.
+
+    Primitive u in [-radius, radius]^2, sorted by (|B u|_1, u1, u2), are
+    kept when no kept vector's (z+, z-) is componentwise below theirs;
+    unbounded ints make it exact for entries of any size.
+    """
+    cands = []
+    for u1 in range(-radius, radius + 1):
+        for u2 in range(-radius, radius + 1):
+            if u1 == 0 and u2 == 0:
+                continue
+            if gcd(abs(u1), abs(u2)) != 1:
+                continue  # B(u/g) dominates B(u)
+            norm = 0
+            for (bx, by) in rows:
+                norm += abs(bx * u1 + by * u2)
+            cands.append((norm, u1, u2))
+    cands.sort()
+    accepted_vals: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    accepted_u: list[tuple[int, int]] = []
+    for _, u1, u2 in cands:
+        z = [bx * u1 + by * u2 for (bx, by) in rows]
+        zp = tuple(x if x > 0 else 0 for x in z)
+        zm = tuple(-x if x < 0 else 0 for x in z)
+        dominated = False
+        for gp, gm in accepted_vals:
+            if all(a <= b for a, b in zip(gp, zp)) and all(
+                a <= b for a, b in zip(gm, zm)
+            ):
+                dominated = True
+                break
+        if not dominated:
+            accepted_vals.append((zp, zm))
+            accepted_u.append((u1, u2))
+    return accepted_u
+
+
 def reference_fan_union(dirs) -> HilbertBasisSet:
     """Fan union assembled by sorting, as before unions kept walk order.
 

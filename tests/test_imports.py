@@ -17,12 +17,15 @@ import galerobust
 
 from conftest import DATA
 
-SRC = str(Path(galerobust.__file__).resolve().parent.parent)
+PACKAGE = Path(galerobust.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 EXAMPLE_FILE = str(DATA / "example_4x6.mat")
 
 FAN = {"galerobust.toric", "galerobust.hilbert"}
 PLOT = {"galerobust.svgplot"}
-SPEED = {"galerobust._speed"}
+# The package is flat: one module per source file, no subpackage (the
+# oracle's box scan is plain Python in ``oracle``, with no backend).
+OWN = {"galerobust"} | {f"galerobust.{p.stem}" for p in PACKAGE.glob("*.py")}
 
 
 def fresh_python(code: str, *args: str) -> str:
@@ -63,25 +66,28 @@ def bare_modules() -> set:
 @pytest.mark.parametrize(
     "cmd, absent",
     [
-        ("gale", FAN | PLOT | SPEED),
-        ("bouquets", FAN | PLOT | SPEED),
-        ("check", PLOT | SPEED),
-        ("graver", PLOT | SPEED),
-        ("markov", PLOT | SPEED),
+        ("gale", FAN | PLOT),
+        ("bouquets", FAN | PLOT),
+        ("check", PLOT),
+        ("graver", PLOT),
+        ("markov", PLOT),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, cmd, absent):
     loaded = modules_after([cmd, EXAMPLE_FILE, "--out", str(tmp_path / "out.json")])
     assert "galerobust.cli" in loaded and "galerobust.gale" in loaded
     assert not {m for m in loaded for a in absent if m == a or m.startswith(a + ".")}
+    assert {m for m in loaded if m.startswith("galerobust.")} <= OWN
     assert not (HEAVY_STDLIB - bare_modules) & loaded
     if cmd in ("gale", "bouquets"):
         assert "galerobust.oracle" in loaded  # its names are bound in cli
 
 
-def test_oracle_still_loads_its_backend(tmp_path, bare_modules):
+def test_oracle_loads_toric_and_fractions(tmp_path, bare_modules):
     loaded = modules_after(["oracle", EXAMPLE_FILE, "--out", str(tmp_path / "out.json")])
-    assert {"galerobust._speed", "galerobust.toric", "fractions"} <= loaded
+    assert {"galerobust.toric", "fractions"} <= loaded
+    assert {m for m in loaded if m.startswith("galerobust.")} <= OWN
+    assert not [p for p in PACKAGE.iterdir() if p.is_dir() and p.name != "__pycache__"]
     assert not ({"dataclasses", "inspect"} - bare_modules) & loaded
 
 
@@ -114,14 +120,14 @@ def test_star_and_submodule_imports_still_work():
         "import galerobust\n"
         "ns = {}\n"
         "exec('from galerobust import *', ns)\n"
-        "from galerobust import _speed, hilbert\n"
+        "from galerobust import hilbert, oracle\n"
         "from galerobust import Cone2D, is_strongly_robust\n"
         "print(json.dumps({'star': sorted(k for k in ns if k != '__builtins__'),\n"
-        "                  'speed': _speed.__name__, 'cone': Cone2D is hilbert.Cone2D,\n"
+        "                  'oracle': oracle.__name__, 'cone': Cone2D is hilbert.Cone2D,\n"
         "                  'fn': is_strongly_robust.__module__}))\n"
     )
     doc = json.loads(fresh_python(code))
     assert doc["star"] == sorted(galerobust.__all__)
-    assert doc["speed"] == "galerobust._speed"
+    assert doc["oracle"] == "galerobust.oracle"
     assert doc["cone"] is True
     assert doc["fn"] == "galerobust.toric"

@@ -1,6 +1,8 @@
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from galerobust import (
     GaleConfiguration,
@@ -15,10 +17,10 @@ from galerobust import (
     is_indispensable_oracle,
     reduce_configuration,
 )
-from galerobust.oracle import SHELL_WIDTH
+from galerobust.oracle import SHELL_WIDTH, _box_scan
 from galerobust.toric import Binomial, binomial_from_gale
 
-from conftest import random_valid_instances
+from conftest import random_valid_instances, reference_box_scan
 
 
 def default_radius(m):
@@ -95,6 +97,42 @@ def test_indispensable_oracle_rejects_non_kernel(example_matrix):
     b = gale_transform(example_matrix)
     with pytest.raises(ValueError):
         is_indispensable_oracle(b, ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)))
+
+
+def test_indispensable_oracle_rejects_mismatched_lengths(example_matrix):
+    b = gale_transform(example_matrix)
+    x = next(iter(indispensable_set(example_matrix)))
+    assert is_indispensable_oracle(b, (x.plus, x.minus))
+    for pair in ((x.plus, x.minus[:5]), (x.plus[:5], x.minus), (x.plus[:5], x.minus[:5])):
+        with pytest.raises(ValueError):
+            is_indispensable_oracle(b, pair)
+
+
+SMALL = st.integers(-5, 5)
+HUGE = st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
+OVERSIZED = [(10**19, 1), (-10**19, 1), (1, -1), (-1, -1)]
+
+
+@st.composite
+def _mixed_rows(draw):
+    """3-7 Gale rows whose entries mix +-5 with magnitudes of 2^64 and up."""
+    n = draw(st.integers(3, 7))
+    flat = draw(st.lists(SMALL | HUGE, min_size=2 * n, max_size=2 * n))
+    assume(any(abs(x) >= 2**64 for x in flat) and any(abs(x) <= 5 for x in flat))
+    return list(zip(flat[::2], flat[1::2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_rows(), st.integers(1, 6))
+def test_box_scan_matches_reference(rows, radius):
+    assert _box_scan(rows, radius) == reference_box_scan(rows, radius)
+
+
+def test_box_scan_is_exact_past_int64():
+    # Some |B u| here exceeds 2^63, past any fixed-width integer.
+    kept = _box_scan(OVERSIZED, 2)
+    assert kept == reference_box_scan(OVERSIZED, 2)
+    assert max(abs(bx * u1 + by * u2) for u1, u2 in kept for bx, by in OVERSIZED) > 2**63
 
 
 def test_bruteforce_example_radius_8(example_matrix):
