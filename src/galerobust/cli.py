@@ -5,6 +5,18 @@ and prints a deterministic JSON document to stdout (or --out).  Exit
 codes: 0 success / strongly robust, 1 computed but not strongly robust,
 2 invalid input or violated precondition, 3 oracle mismatch.
 
+``check`` prints the whole report document, and ``plot`` writes an SVG
+to --out.  The other subcommands print ``version`` and ``input``
+followed by their own keys of the report document:
+
+    gale           gale, reduced_gale, positively_graded
+    bouquets       bouquets, mixed_count
+    graver         graver
+    indispensable  indispensable
+    markov         markov, complete_intersection
+    oracle         none; it adds the brute-force ``oracle`` section, as
+                   ``--oracle`` does for graver, indispensable and markov
+
 A subcommand imports only the modules it runs: the fan pipeline
 (``toric``, ``hilbert``) and ``svgplot`` are imported inside the commands
 that use them, so ``gale`` and ``bouquets`` never load them.
@@ -19,14 +31,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import (
-    DegenerateError,
-    GaleRobustError,
-    GradingError,
-    MatrixFormatError,
-    RankError,
-    ZeroRowError,
-)
+from .errors import GaleRobustError
 from .gale import bouquets, gale_transform, is_positively_graded, reduce_configuration
 from .intlinalg import IntegerMatrix
 from .matrixio import load_matrix
@@ -34,15 +39,6 @@ from .oracle import SHELL_WIDTH, graver_bruteforce, is_indispensable_oracle
 
 if TYPE_CHECKING:
     from .toric import RobustnessReport
-
-_INPUT_ERRORS = (
-    MatrixFormatError,
-    RankError,
-    GradingError,
-    ZeroRowError,
-    DegenerateError,
-    OSError,
-)
 
 
 def _binomial_list(bins, letters: bool) -> list[dict]:
@@ -58,21 +54,40 @@ def _binomial_list(bins, letters: bool) -> list[dict]:
     ]
 
 
-def _input_doc(m: IntegerMatrix) -> dict:
-    return {"rows": m.nrows, "cols": m.ncols, "entries": [list(r) for r in m.rows]}
+def _head(m: IntegerMatrix) -> dict:
+    """The keys every document starts with: version and the input echo."""
+    return {
+        "version": __version__,
+        "input": {"rows": m.nrows, "cols": m.ncols, "entries": [list(r) for r in m.rows]},
+    }
+
+
+def _gale_section(b, reduced) -> dict:
+    return {
+        "gale": [list(r) for r in b.rows],
+        "reduced_gale": {
+            "rows": [list(r) for r in reduced.rows],
+            "index_map": list(reduced.index_map),
+            "angular_order": list(reduced.angular_order),
+        },
+        "positively_graded": is_positively_graded(b),
+    }
+
+
+def _bouquet_section(qs) -> dict:
+    return {
+        "bouquets": [
+            {"members": sorted(q.members), "direction": list(q.direction), "mixed": q.mixed}
+            for q in qs
+        ],
+        "mixed_count": sum(1 for q in qs if q.mixed),
+    }
 
 
 def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) -> dict:
-    doc = {
-        "version": __version__,
-        "input": _input_doc(m),
-        "gale": [list(r) for r in report.gale.rows],
-        "reduced_gale": {
-            "rows": [list(r) for r in report.reduced.rows],
-            "index_map": list(report.reduced.index_map),
-            "angular_order": list(report.reduced.angular_order),
-        },
-        "positively_graded": is_positively_graded(report.gale),
+    return {
+        **_head(m),
+        **_gale_section(report.gale, report.reduced),
         "fan_cones": [[list(c.a), list(c.b)] for c in report.h_union.cones],
         "hilbert_union": [
             {"vector": list(v), "cones": list(idx)}
@@ -85,20 +100,11 @@ def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) 
             report.indispensable if not report.complete_intersection else (), letters
         ),
         "complete_intersection": report.complete_intersection,
-        "bouquets": [
-            {
-                "members": sorted(q.members),
-                "direction": list(q.direction),
-                "mixed": q.mixed,
-            }
-            for q in report.bouquets
-        ],
-        "mixed_count": report.mixed_count,
+        **_bouquet_section(report.bouquets),
         "centrally_symmetric": report.centrally_symmetric,
         "strongly_robust": report.strongly_robust,
         "witness": list(report.witness) if report.witness is not None else None,
     }
-    return doc
 
 
 def _compact_json(value, indent: int = 0) -> str:
@@ -160,91 +166,34 @@ def cmd_check(args) -> int:
     return 0 if doc["strongly_robust"] else 1
 
 
-def _partial(args, keys) -> tuple[int, dict]:
+def cmd_report_keys(args) -> int:
+    """The head and ``args.keys`` of the report, plus the oracle if asked."""
     from .toric import is_strongly_robust
 
     m = load_matrix(args.path, args.json)
     report = is_strongly_robust(m)
     full = _report_document(m, report, args.letters)
-    doc = {"version": full["version"], "input": full["input"]}
-    for k in keys:
-        doc[k] = full[k]
+    doc = {k: full[k] for k in ("version", "input", *args.keys)}
     rc = 0
-    if getattr(args, "oracle", False):
-        oracle_doc = _run_oracle_comparison(report, args.radius, args.letters)
-        doc["oracle"] = oracle_doc
+    if args.oracle:
+        oracle_doc = doc["oracle"] = _run_oracle_comparison(report, args.radius, args.letters)
         if not (oracle_doc["graver_match"] and oracle_doc["indispensable_match"]):
             rc = 3
-    return rc, doc
-
-
-def cmd_graver(args) -> int:
-    rc, doc = _partial(args, ["graver"])
     _emit(doc, args.out)
     return rc
-
-
-def cmd_indispensable(args) -> int:
-    rc, doc = _partial(args, ["indispensable"])
-    _emit(doc, args.out)
-    return rc
-
-
-def cmd_markov(args) -> int:
-    rc, doc = _partial(args, ["markov", "complete_intersection"])
-    _emit(doc, args.out)
-    return rc
-
-
-def cmd_bouquets(args) -> int:
-    m = load_matrix(args.path, args.json)
-    b = gale_transform(m)
-    qs = bouquets(b)
-    doc = {
-        "version": __version__,
-        "input": _input_doc(m),
-        "bouquets": [
-            {"members": sorted(q.members), "direction": list(q.direction), "mixed": q.mixed}
-            for q in qs
-        ],
-        "mixed_count": sum(1 for q in qs if q.mixed),
-    }
-    _emit(doc, args.out)
-    return 0
 
 
 def cmd_gale(args) -> int:
     m = load_matrix(args.path, args.json)
     b = gale_transform(m)
-    reduced = reduce_configuration(b)
-    doc = {
-        "version": __version__,
-        "input": _input_doc(m),
-        "gale": [list(r) for r in b.rows],
-        "reduced_gale": {
-            "rows": [list(r) for r in reduced.rows],
-            "index_map": list(reduced.index_map),
-            "angular_order": list(reduced.angular_order),
-        },
-        "positively_graded": is_positively_graded(b),
-    }
-    _emit(doc, args.out)
+    _emit({**_head(m), **_gale_section(b, reduce_configuration(b))}, args.out)
     return 0
 
 
-def cmd_oracle(args) -> int:
-    from .toric import is_strongly_robust
-
+def cmd_bouquets(args) -> int:
     m = load_matrix(args.path, args.json)
-    report = is_strongly_robust(m)
-    doc = {
-        "version": __version__,
-        "input": _input_doc(m),
-        "oracle": _run_oracle_comparison(report, args.radius, args.letters),
-    }
-    _emit(doc, args.out)
-    ok = doc["oracle"]["graver_match"] and doc["oracle"]["indispensable_match"]
-    return 0 if ok else 3
+    _emit({**_head(m), **_bouquet_section(bouquets(gale_transform(m)))}, args.out)
+    return 0
 
 
 def cmd_plot(args) -> int:
@@ -288,17 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("graver", help="Graver basis")
-    add_common(p, oracle_flag=True)
-    p.set_defaults(func=cmd_graver)
-
-    p = sub.add_parser("indispensable", help="indispensable binomials")
-    add_common(p, oracle_flag=True)
-    p.set_defaults(func=cmd_indispensable)
-
-    p = sub.add_parser("markov", help="minimal generating set (Markov basis)")
-    add_common(p, oracle_flag=True)
-    p.set_defaults(func=cmd_markov)
+    for name, keys, help_text in (
+        ("graver", ("graver",), "Graver basis"),
+        ("indispensable", ("indispensable",), "indispensable binomials"),
+        ("markov", ("markov", "complete_intersection"), "minimal generating set (Markov basis)"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p, oracle_flag=True)
+        p.set_defaults(func=cmd_report_keys, keys=keys)
 
     p = sub.add_parser("bouquets", help="bouquet decomposition")
     add_common(p)
@@ -311,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force cross-check of the fan results")
     add_common(p)
     p.add_argument("--radius", type=int, help="override the oracle box radius")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_report_keys, keys=(), oracle=True)
 
     p = sub.add_parser("plot", help="SVG drawing of the reduced diagram")
     p.add_argument("path")
@@ -326,17 +272,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # --radius sizes the oracle's box scan: checked only where the oracle
-    # runs (the oracle subcommand has no --oracle flag), before any work.
+    # runs (args.oracle, which the oracle subcommand sets), before any work.
     radius = getattr(args, "radius", None)
-    if radius is not None and radius < 1 and getattr(args, "oracle", True):
+    if radius is not None and radius < 1 and args.oracle:
         print(f"error: --radius must be at least 1, got {radius}", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except GaleRobustError as exc:
+    except (GaleRobustError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

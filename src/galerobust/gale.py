@@ -79,9 +79,6 @@ class ReducedGaleConfiguration(_Value):
         object.__setattr__(self, "index_map", index_map)
         object.__setattr__(self, "angular_order", angular_order)
 
-    def ordered_rows(self) -> tuple[Vec2, ...]:
-        return tuple(self.rows[i] for i in self.angular_order)
-
     def distinct_directions(self) -> tuple[Vec2, ...]:
         """Distinct reduced directions in counterclockwise order."""
         seen: list[Vec2] = []
@@ -175,11 +172,10 @@ def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
     for (x, y) in b.rows:
         g = gcd(abs(x), abs(y))
         reduced.append((-y // g, x // g))
+    # A stable sort: rows of equal angle stay in index order.
     order = sorted(
         range(len(reduced)),
-        key=functools.cmp_to_key(
-            lambda i, j: planar.angle_cmp(reduced[i], reduced[j]) or (i - j)
-        ),
+        key=functools.cmp_to_key(lambda i, j: planar.angle_cmp(reduced[i], reduced[j])),
     )
     return ReducedGaleConfiguration(
         rows=tuple(reduced),

@@ -48,9 +48,6 @@ class Cone2D(_Value):
     def det(self) -> int:
         return cross(self.a, self.b)
 
-    def contains(self, p: Vec2) -> bool:
-        return cross(self.a, p) >= 0 and cross(p, self.b) >= 0
-
 
 def _trusted_cone(a: Vec2, b: Vec2) -> Cone2D:
     """Cone2D(a, b) without ``__init__``: a, b primitive int pairs, det > 0."""
@@ -195,17 +192,14 @@ def symmetrized_fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBa
     return _union_in_walk_order(cones, chains)
 
 
-def symmetric_core(h) -> tuple[Vec2, ...]:
+def symmetric_core(h: HilbertBasisSet) -> tuple[Vec2, ...]:
     """Vectors u with both u and -u in the union; centrally symmetric.
 
-    Accepts a HilbertBasisSet or any iterable of 2D integer vectors; the
-    result keeps both members of every pair, in counterclockwise order.
+    The result keeps both members of every pair, in the union's
+    counterclockwise order.
     """
-    vectors = h.vectors if isinstance(h, HilbertBasisSet) else tuple(
-        sorted({tuple(v) for v in h}, key=functools.cmp_to_key(planar.angle_cmp))
-    )
-    have = set(vectors)
-    return tuple(v for v in vectors if (-v[0], -v[1]) in have)
+    have = set(h.vectors)
+    return tuple(v for v in h.vectors if (-v[0], -v[1]) in have)
 
 
 def fan_radius_bound(config: ReducedGaleConfiguration) -> int:

@@ -20,10 +20,6 @@ def cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def primitive(v: Sequence[int]) -> Vec2:
     """Scale a nonzero integer vector so its entries are coprime."""
     x, y = v

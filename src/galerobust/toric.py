@@ -3,10 +3,15 @@
 Binomials are exponent-vector pairs (plus, minus) with disjoint supports;
 no polynomial objects are materialized.  The indispensable set, Graver
 basis, Markov basis and the strong-robustness verdict are all read off
-the planar fan of the reduced Gale configuration.
+the planar fan of the reduced Gale configuration, in one pass:
+``is_strongly_robust`` returns them in a ``RobustnessReport``, and
+``graver_basis``, ``indispensable_set`` and ``markov_basis`` are views
+of that report.
 """
 
 from __future__ import annotations
+
+from functools import total_ordering
 
 from . import planar
 from ._value import _Value
@@ -29,13 +34,14 @@ from .intlinalg import IntegerMatrix
 from .planar import Vec2
 
 
+@total_ordering
 class Binomial(_Value):
     """Canonical exponent-vector pair p^plus - p^minus.
 
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
-    representative per sign pair).  The public constructor checks them
-    all; ``from_vector`` is the trusted constructor, which builds the
+    representative per sign pair).  The public constructor stores both
+    parts as int tuples and checks them all; ``from_vector`` is the trusted constructor, which builds the
     pair so that they hold and skips the checks.  Binomials are ordered
     by (plus, minus).
     """
@@ -43,6 +49,7 @@ class Binomial(_Value):
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: tuple[int, ...], minus: tuple[int, ...]):
+        plus, minus = tuple(map(int, plus)), tuple(map(int, minus))
         if len(plus) != len(minus):
             raise ValueError("exponent vectors differ in length")
         if any(x < 0 for x in plus) or any(x < 0 for x in minus):
@@ -59,21 +66,6 @@ class Binomial(_Value):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.plus, self.minus) < (other.plus, other.minus)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.plus, self.minus) <= (other.plus, other.minus)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.plus, self.minus) > (other.plus, other.minus)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.plus, self.minus) >= (other.plus, other.minus)
         return NotImplemented
 
     @classmethod
@@ -168,47 +160,35 @@ def _pair_binomials(
     return pairs
 
 
-def _fan_pipeline(a: IntegerMatrix):
-    b = gale_transform(a)
-    reduced = reduce_configuration(b)
-    union = fan_hilbert_union(reduced)
-    return b, reduced, union
-
-
 def indispensable_set(a: IntegerMatrix) -> frozenset[Binomial]:
-    """Binomials appearing in every binomial minimal generating set.
+    """Binomials in every binomial minimal generating set.
 
-    These correspond exactly to the symmetric core of the fan's Hilbert
-    basis union: vectors u with both u and -u generated by some fan cone.
+    A view of ``is_strongly_robust(a)``, which runs the whole decision:
+    the binomials of the symmetric core of the fan's Hilbert basis union.
     """
-    b, _, union = _fan_pipeline(a)
-    return frozenset(_pair_binomials(b, symmetric_core(union), {}).values())
+    return is_strongly_robust(a).indispensable
 
 
 def graver_basis(a: IntegerMatrix) -> frozenset[Binomial]:
     """All primitive binomials: no other binomial divides them part-wise.
 
-    Computed over the symmetrized fan (directions and their negations),
-    which is the fan of the doubled configuration: refining a cone at a
-    non-visible negated ray can expose primitive vectors the plain fan
-    misses, so the plain union alone would undercount.  Requires the same
-    rank and grading preconditions as the rest of the pipeline.
+    A view of ``is_strongly_robust(a)``, which runs the whole decision:
+    the binomials of the symmetrized fan's Hilbert basis union.
     """
-    b, reduced, _ = _fan_pipeline(a)
-    sym_union = symmetrized_fan_hilbert_union(reduced)
-    return frozenset(_pair_binomials(b, sym_union.vectors, {}).values())
+    return is_strongly_robust(a).graver
 
 
 def markov_basis(a: IntegerMatrix) -> tuple[frozenset[Binomial], bool]:
     """Minimal generating set and a complete-intersection flag.
 
+    A view of ``is_strongly_robust(a)``, which runs the whole decision.
     When indispensable binomials exist they generate the ideal and are
     returned with the flag False.  Otherwise the ideal is a complete
     intersection; the two generators are not constructed and the empty
     set is returned with the flag True.
     """
-    indisp = indispensable_set(a)
-    return indisp, len(indisp) == 0
+    report = is_strongly_robust(a)
+    return report.indispensable, report.complete_intersection
 
 
 def centrally_symmetric_hull(config: ReducedGaleConfiguration) -> bool:
@@ -281,8 +261,15 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     reduced row, its negation lies in the symmetric core) and checked
     against the direct set comparison; the two must agree on every input,
     and a ConsistencyError is raised if they ever do not.
+
+    This is the package's one analysis pass: ``graver_basis``,
+    ``indispensable_set`` and ``markov_basis`` read their answers off the
+    report.  Every stage is looked up in this module's globals at call
+    time, so it can be wrapped or replaced there.
     """
-    b, reduced, union = _fan_pipeline(a)
+    b = gale_transform(a)
+    reduced = reduce_configuration(b)
+    union = fan_hilbert_union(reduced)
     core = symmetric_core(union)
     core_set = set(core)
 

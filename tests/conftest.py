@@ -19,7 +19,7 @@ from galerobust import (
 from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
 from galerobust.intlinalg import _xgcd, column_hnf
-from galerobust.planar import angle_cmp, convex_hull, cross, dot, primitive, sign_canonical
+from galerobust.planar import angle_cmp, convex_hull, cross, primitive, sign_canonical
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,7 +222,8 @@ def reference_bouquets(b) -> list[Bouquet]:
         groups.setdefault(d, []).append(i)
     out = []
     for d, members in groups.items():
-        signs = {1 if dot(b.rows[i], d) > 0 else -1 for i in members}
+        rows = [b.rows[i] for i in members]
+        signs = {1 if x * d[0] + y * d[1] > 0 else -1 for x, y in rows}
         out.append(Bouquet(members=frozenset(members), direction=d, mixed=len(signs) == 2))
     out.sort(key=lambda bq: min(bq.members))
     return out

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import re
 import subprocess
@@ -14,7 +17,7 @@ from galerobust.matrixio import (
     parse_matrix_text,
 )
 
-from conftest import DATA, EXAMPLE_A
+from conftest import DATA, EXAMPLE_A, random_valid_instances
 
 EXAMPLE_FILE = str(DATA / "example_4x6.mat")
 CUBIC_FILE = str(DATA / "twisted_cubic.mat")
@@ -335,3 +338,59 @@ def test_plot_rejects_bad_input_without_writing(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 2
     assert not target.exists()
+
+
+# Every non-``plot`` form, pinned by one sha256 per form over all inputs.
+# Frozen before the subcommands were folded into one report document.
+# Each input contributes its exit code and stdout; an input error also
+# contributes stderr (``check`` prints a timing there otherwise).
+CLI_DIGESTS = {
+    "check --letters": "229d58af2458da80a5e37294330f92b744417012efb2afed25d74d078bc9aeaf",
+    "graver": "83686a0308fe8494a2b11e40979e02d4b204e06fccbda0f3687cb850a99ba7b2",
+    "indispensable": "033ae534e9c26e0dc4deab485a8b3adf00c5bc77de40366b1f4ef88613e4c03d",
+    "markov": "6d2bd94c57fd776f30032866c117c776cd613dbb07ba5529bb610b61521c9148",
+    "bouquets": "91afcbb17489a8a3303882a1a646795381f8593cc65271143f151d30db325fff",
+    "gale": "a0a0275c595a22455ed4bbf115e7ae522d86c5d5a231e5912d383cb60518f33a",
+    "oracle": "ada8bcf12fdd18588406e4a8f2937f91d4dc429033c68e3e04b9be1fda7ba3ec",
+    "graver --oracle": "c6a29717cf5dfb7a35e85034072078fd41374bb84db0816bdaca5189140401d2",
+    "markov --oracle --letters": "a7ebcfa86ecba91d53051ecccd47aa07edd11bbe9b793089afa57dba08914c79",
+}
+# Wrong rank, a zero Gale row (x1 is in no kernel vector), not graded.
+INVALID_INPUTS = (
+    "3 3\n1 0 0\n0 1 0\n0 0 1\n",
+    "2 4\n1 0 0 0\n0 1 1 1\n",
+    "2 4\n1 0 -1 0\n0 1 0 -1\n",
+)
+# The brute-force forms take about 0.1 s per 7-column input, so they run
+# on the first ORACLE_INPUTS files only.
+ORACLE_INPUTS = 14
+
+
+@pytest.fixture(scope="module")
+def digest_inputs(tmp_path_factory) -> list[str]:
+    """The bundled files, 30 seeded suite-style matrices, three bad files."""
+    root = tmp_path_factory.mktemp("digest")
+    texts = [format_matrix(m) for m in random_valid_instances(30, seed=1111)]
+    paths = [EXAMPLE_FILE, CUBIC_FILE]
+    for i, text in enumerate(texts + list(INVALID_INPUTS)):
+        path = root / f"m{i:02d}.mat"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("form", sorted(CLI_DIGESTS))
+def test_subcommand_output_digest(digest_inputs, form):
+    argv = form.split()
+    paths = digest_inputs
+    if "oracle" in form:
+        paths = paths[:ORACLE_INPUTS] + paths[-len(INVALID_INPUTS):]
+    h = hashlib.sha256()
+    for path in paths:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([argv[0], path, *argv[1:]])
+        h.update(f"{rc}\n{out.getvalue()}\0".encode())
+        if rc == 2:
+            h.update(f"{err.getvalue()}\0".encode())
+    assert h.hexdigest() == CLI_DIGESTS[form]

@@ -5,7 +5,10 @@ from galerobust import (
     Binomial,
     ConsistencyError,
     DegenerateError,
+    GradingError,
     IntegerMatrix,
+    RankError,
+    ZeroRowError,
     binomial_from_gale,
     centrally_symmetric_hull,
     gale_transform,
@@ -265,3 +268,22 @@ def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatc
     monkeypatch.setattr(toric, "symmetrized_fan_hilbert_union", union_without_a_core_pair)
     with pytest.raises(ConsistencyError):
         toric.is_strongly_robust(a)
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), RankError),
+        (((1, 0, 0, 0), (0, 1, 1, 1)), ZeroRowError),
+        (((1, 0, -1, 0), (0, 1, 0, -1)), GradingError),
+    ],
+)
+def test_views_fail_like_the_decision(rows, error):
+    a = IntegerMatrix(rows)
+    messages = set()
+    for fn in (graver_basis, indispensable_set, markov_basis, is_strongly_robust):
+        with pytest.raises(error) as info:
+            fn(a)
+        assert type(info.value) is error
+        messages.add(str(info.value))
+    assert len(messages) == 1

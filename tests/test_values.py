@@ -134,6 +134,15 @@ def test_binomials_sort_by_plus_then_minus():
         b1 < (b1.plus, b1.minus)
 
 
+def test_binomial_constructor_stores_int_tuples():
+    from_lists = Binomial([1, 0], [0, 1])
+    from_tuples = Binomial((1, 0), (0, 1))
+    assert type(from_lists.plus) is tuple and type(from_lists.minus) is tuple
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert len({from_lists, from_tuples}) == 1
+
+
 def test_pickle_and_copy_round_trips(case):
     obj = case[0]()
     for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
