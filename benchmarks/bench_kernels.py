@@ -17,7 +17,8 @@ kernel tail and the Lagrange stage are differences of two timings of
 the same matrix.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
 of the plain fan union, the symmetrized fan union and the Graver
-binomials built from it.  Last,
+binomials built from it, and the median microseconds per Graver element
+(best of N) of the fiber oracle ``is_indispensable_oracle``.  Last,
 the median wall milliseconds of ``python -m galerobust <cmd>`` on
 ``tests/data/example_4x6.mat`` for each subcommand, over CLI_RUNS fresh
 processes: start-up and imports included, since a subcommand loads only
@@ -40,6 +41,7 @@ from galerobust import (
     bouquets,
     fan_hilbert_union,
     gale_transform,
+    is_indispensable_oracle,
     is_positively_graded,
     kernel_lattice_basis,
     rank,
@@ -169,7 +171,12 @@ def _fan_problems(count, seed):
 
 def bench_fan_layers(repeat):
     problems = _fan_problems(100, seed=20260810)
-    layers = {"fan_hilbert_union": [], "symmetrized_fan_hilbert_union": [], "graver binomials": []}
+    layers = {
+        "fan_hilbert_union": [],
+        "symmetrized_fan_hilbert_union": [],
+        "graver binomials": [],
+        "is_indispensable_oracle": [],
+    }
     for b in problems:
         reduced = reduce_configuration(b)
         sym = symmetrized_fan_hilbert_union(reduced)
@@ -179,7 +186,11 @@ def bench_fan_layers(repeat):
             ("graver binomials", lambda: _pair_binomials(b, sym.vectors, {})),
         ):
             layers[name].append(_time(fn, repeat) * 1e6)
-    print("fan layers: 100 seeded problems, n in 4..7, entries in +-4")
+        for x in _pair_binomials(b, sym.vectors, {}).values():
+            t = _time(lambda: is_indispensable_oracle(b, x), repeat)
+            layers["is_indispensable_oracle"].append(t * 1e6)
+    print("fan layers: 100 seeded problems, n in 4..7, entries in +-4;")
+    print("is_indispensable_oracle per Graver element of those problems")
     print(f"{'layer':<30} {'median (us)':>12}")
     for name, times in layers.items():
         print(f"{name:<30} {statistics.median(times):>12.1f}")

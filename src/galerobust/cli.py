@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -144,7 +145,12 @@ def _run_oracle_comparison(
         from .hilbert import fan_radius_bound
 
         radius = fan_radius_bound(report.reduced) + SHELL_WIDTH
-    brute = graver_bruteforce(b, radius)
+    # A warning is one stderr line, like the errors; the filters in force
+    # are kept and restored.
+    with warnings.catch_warnings(record=True) as caught:
+        brute = graver_bruteforce(b, radius)
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
     indisp_oracle = frozenset(x for x in brute if is_indispensable_oracle(b, x))
     return {
         "radius": radius,

@@ -1,24 +1,27 @@
 """Brute-force verifiers, independent of the fan pipeline.
 
 Everything here works straight from the definitions: fibers are
-enumerated as lattice points of an explicit polygon, indispensability is
-read off the fiber, and primitive binomials are found by scanning a box
-of kernel vectors for divisibility-minimal elements.  None of it touches
-the Hilbert-basis code paths, which is the point: agreement between the
-two routes is the strongest correctness check the package has.
+enumerated as lattice points of an explicit polygon, walked column by
+column in exact integers, indispensability is read off the fiber, and
+primitive binomials are found by scanning a box of kernel vectors for
+divisibility-minimal elements.  None of it touches the Hilbert-basis
+code paths, which is the point: agreement between the two routes is the
+strongest correctness check the package has.
 
-The module is cheap to import: ``fractions`` and ``Binomial`` are
-imported inside the functions that use them.
+The module is cheap to import: ``Binomial`` is imported inside the
+functions that use it.
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import combinations, count, islice
 from math import gcd
 
 from ._value import _Value
 from .errors import GradingError, ShellWarning
-from .gale import GaleConfiguration, is_positively_graded
+from .gale import GaleConfiguration, _lagrange_reduced_columns, is_positively_graded
+from .intlinalg import _trusted_matrix
 from .planar import cross
 
 #: Width of the safety margin checked at the edge of the scan box.
@@ -35,62 +38,63 @@ class FiberEnumeration(_Value):
         object.__setattr__(self, "points", points)
 
 
-def _polygon_vertices(b: GaleConfiguration, v):
-    """Vertices of {x in R^2 : B x <= v}, exact rational coordinates."""
-    from fractions import Fraction
+def _column_span(rows, cs) -> range | None:
+    """Integers a2 with q a2 <= c for each row (p, q) and its c in cs.
 
-    rows = b.rows
-    n = len(rows)
-    verts = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = cross(rows[i], rows[j])
-            if d == 0:
-                continue
-            # Solve rows[i] . x = v[i], rows[j] . x = v[j] by Cramer.
-            x = Fraction(v[i] * rows[j][1] - v[j] * rows[i][1], d)
-            y = Fraction(rows[i][0] * v[j] - rows[j][0] * v[i], d)
-            if all(rows[k][0] * x + rows[k][1] * y <= v[k] for k in range(n)):
-                verts.append((x, y))
-    return verts
+    None when no real a2 qualifies.  A bound is num/den with den > 0
+    (den = 0 for infinity), compared by cross-multiplication.
+    """
+    lo_n, lo_d, hi_n, hi_d = -1, 0, 1, 0
+    for c, (_, q) in zip(cs, rows):
+        if q > 0:
+            if c * hi_d < hi_n * q:
+                hi_n, hi_d = c, q
+        elif q < 0:
+            if c * lo_d < lo_n * q:
+                lo_n, lo_d = -c, -q
+        elif c < 0:
+            return None
+    if lo_n * hi_d > hi_n * lo_d:
+        return None
+    return range(-(-lo_n // lo_d), hi_n // hi_d + 1)
+
+
+def _fiber_walk(b: GaleConfiguration, v: tuple[int, ...]):
+    """Yield v - B alpha for every integer alpha with B alpha <= v.
+
+    The polygon {alpha : B alpha <= v} is convex, contains alpha = 0 and is
+    bounded, as the configuration is graded.  Its columns a1 = 0, 1, ... and
+    then -1, -2, ... are walked up to the first one that misses it; one
+    meeting it in a real interval with no integer does not end the walk, as
+    a thin polygon can skip a column.  B's columns are Lagrange-reduced
+    first (same lattice, same fiber), so a shear of B does not lengthen it.
+    """
+    if len(v) != b.n:
+        raise ValueError("target length does not match configuration size")
+    if any(x < 0 for x in v):
+        raise ValueError("target must be nonnegative")
+    if not is_positively_graded(b):
+        raise GradingError("fiber polygon is unbounded for ungraded configurations")
+    rows = _lagrange_reduced_columns(_trusted_matrix(b.rows)).rows
+    for a1s in count(0), count(-1, -1):
+        for a1 in a1s:
+            cs = [t - p * a1 for (p, _), t in zip(rows, v)]
+            span = _column_span(rows, cs)
+            if span is None:
+                break
+            for a2 in span:
+                yield tuple(c - q * a2 for c, (_, q) in zip(cs, rows))
 
 
 def enumerate_fiber(b: GaleConfiguration, v) -> FiberEnumeration:
     """Fiber of a nonnegative vector v, via the kernel parametrization.
 
     Every fiber element is v - B alpha for a unique integer alpha with
-    B alpha <= v componentwise, so the fiber is the image of the lattice
-    points of that polygon.  Raises GradingError when the polygon is
-    unbounded (the configuration is not positively graded).
+    B alpha <= v componentwise: a lattice point of that polygon, found by
+    walking its columns.  Raises GradingError for ungraded configurations.
     """
     vt = tuple(int(x) for x in v)
-    if len(vt) != b.n:
-        raise ValueError("target length does not match configuration size")
-    if any(x < 0 for x in vt):
-        raise ValueError("target must be nonnegative")
-    if not is_positively_graded(b):
-        raise GradingError("fiber polygon is unbounded for ungraded configurations")
-
-    verts = _polygon_vertices(b, vt)
-    # alpha = 0 is always feasible, so a bounded polygon has vertices.
-    lo_x = min(x for x, _ in verts)
-    hi_x = max(x for x, _ in verts)
-    lo_y = min(y for _, y in verts)
-    hi_y = max(y for _, y in verts)
-
-    def ceil_frac(f: Fraction) -> int:
-        return -((-f.numerator) // f.denominator)
-
-    def floor_frac(f: Fraction) -> int:
-        return f.numerator // f.denominator
-
-    points = set()
-    for a1 in range(ceil_frac(lo_x), floor_frac(hi_x) + 1):
-        for a2 in range(ceil_frac(lo_y), floor_frac(hi_y) + 1):
-            if all(r[0] * a1 + r[1] * a2 <= t for r, t in zip(b.rows, vt)):
-                w = tuple(t - (r[0] * a1 + r[1] * a2) for r, t in zip(b.rows, vt))
-                points.add(w)
-    return FiberEnumeration(target=vt, points=frozenset(points))
+    return FiberEnumeration(target=vt, points=frozenset(_fiber_walk(b, vt)))
 
 
 def is_indispensable_oracle(b: GaleConfiguration, binomial) -> bool:
@@ -109,30 +113,26 @@ def is_indispensable_oracle(b: GaleConfiguration, binomial) -> bool:
         plus, minus = tuple(binomial[0]), tuple(binomial[1])
     if not len(plus) == len(minus) == b.n:
         raise ValueError("plus and minus must both have the configuration's length")
+    if not any(plus) and not any(minus):
+        raise ValueError("zero binomial")
     if any(p > 0 and m > 0 for p, m in zip(plus, minus)):
         return False
     diff = tuple(p - m for p, m in zip(plus, minus))
     if _solve_in_kernel(b, diff) is None:
         raise ValueError("plus - minus is not a kernel vector of the configuration")
-    fiber = enumerate_fiber(b, plus)
-    return fiber.points == {plus, minus}
+    # The fiber holds plus and minus; a third point decides the answer.
+    return set(islice(_fiber_walk(b, plus), 3)) == {plus, minus}
 
 
 def _solve_in_kernel(b: GaleConfiguration, z):
     """Integer u with B u = z, or None."""
     rows = b.rows
-    pivot = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if cross(rows[i], rows[j]) != 0:
-                pivot = (i, j)
-                break
-        if pivot:
+    for i, j in combinations(range(len(rows)), 2):
+        d = cross(rows[i], rows[j])
+        if d:
             break
-    if pivot is None:
+    else:
         return None
-    i, j = pivot
-    d = cross(rows[i], rows[j])
     u1 = z[i] * rows[j][1] - z[j] * rows[i][1]
     u2 = rows[i][0] * z[j] - rows[j][0] * z[i]
     if u1 % d or u2 % d:

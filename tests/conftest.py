@@ -1,5 +1,8 @@
 import functools
+import itertools
+import math
 import random
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -284,6 +287,35 @@ def reference_box_scan(rows, radius: int) -> list[tuple[int, int]]:
             accepted_vals.append((zp, zm))
             accepted_u.append((u1, u2))
     return accepted_u
+
+
+def reference_enumerate_fiber(b, v) -> frozenset[tuple[int, ...]]:
+    """Fiber points by polygon vertices and a bounding box, as before the walk.
+
+    Intersects every pair of rows of {alpha : B alpha <= v} in exact
+    fractions, keeps the intersections that satisfy every row, and tests
+    each integer point of the vertices' bounding box against every row.
+    The caller checks the grading; a bounded polygon containing alpha = 0
+    has vertices.
+    """
+    rows = b.rows
+    verts = []
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        d = cross(rows[i], rows[j])
+        if d == 0:
+            continue
+        x = Fraction(v[i] * rows[j][1] - v[j] * rows[i][1], d)
+        y = Fraction(rows[i][0] * v[j] - rows[j][0] * v[i], d)
+        if all(p * x + q * y <= t for (p, q), t in zip(rows, v)):
+            verts.append((x, y))
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
+    points = set()
+    for a1 in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        for a2 in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
+            if all(p * a1 + q * a2 <= t for (p, q), t in zip(rows, v)):
+                points.add(tuple(t - p * a1 - q * a2 for (p, q), t in zip(rows, v)))
+    return frozenset(points)
 
 
 def reference_fan_union(dirs) -> HilbertBasisSet:

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,19 @@ def test_radius_below_one_is_an_input_error(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and "--radius" in lines[0]
+
+
+def test_shell_warning_is_one_stderr_line(capsys):
+    filters = list(warnings.filters)
+    rc = main(["oracle", CUBIC_FILE, "--radius", "2"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert json.loads(captured.out)["oracle"]["radius"] == 2
+    assert captured.err.splitlines() == [
+        "warning: ShellWarning: a primitive element touches the outer shell of the "
+        "radius-2 box; rerun with a larger radius"
+    ]
+    assert warnings.filters == filters
 
 
 def test_radius_is_unused_without_the_oracle(capsys):

@@ -15,12 +15,13 @@ from galerobust import (
     graver_bruteforce,
     indispensable_set,
     is_indispensable_oracle,
+    is_positively_graded,
     reduce_configuration,
 )
-from galerobust.oracle import SHELL_WIDTH, _box_scan
+from galerobust.oracle import SHELL_WIDTH, _box_scan, _column_span
 from galerobust.toric import Binomial, binomial_from_gale
 
-from conftest import random_valid_instances, reference_box_scan
+from conftest import random_valid_instances, reference_box_scan, reference_enumerate_fiber
 
 
 def default_radius(m):
@@ -99,6 +100,12 @@ def test_indispensable_oracle_rejects_non_kernel(example_matrix):
         is_indispensable_oracle(b, ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)))
 
 
+def test_indispensable_oracle_rejects_zero_pair(example_matrix):
+    b = gale_transform(example_matrix)
+    with pytest.raises(ValueError, match="zero binomial"):
+        is_indispensable_oracle(b, ((0,) * 6, (0,) * 6))
+
+
 def test_indispensable_oracle_rejects_mismatched_lengths(example_matrix):
     b = gale_transform(example_matrix)
     x = next(iter(indispensable_set(example_matrix)))
@@ -106,6 +113,55 @@ def test_indispensable_oracle_rejects_mismatched_lengths(example_matrix):
     for pair in ((x.plus, x.minus[:5]), (x.plus[:5], x.minus), (x.plus[:5], x.minus[:5])):
         with pytest.raises(ValueError):
             is_indispensable_oracle(b, pair)
+
+
+@st.composite
+def _graded_rows(draw):
+    """3-7 nonzero Gale rows with entries in +-9 that span the plane positively."""
+    n = draw(st.integers(3, 7))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.tuples(entry, entry), min_size=n, max_size=n))
+    assume((0, 0) not in rows)
+    b = GaleConfiguration(rows=tuple(rows))
+    assume(is_positively_graded(b))
+    return b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graded_rows(), st.data())
+def test_fiber_matches_reference(b, data):
+    v = tuple(data.draw(st.lists(st.integers(0, 12), min_size=b.n, max_size=b.n)))
+    assert enumerate_fiber(b, v).points == reference_enumerate_fiber(b, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graded_rows(), st.data(), st.integers(-(2**30), 2**30), st.integers(-(2**30), 2**30))
+def test_fiber_is_invariant_under_a_shear(b, data, s, t):
+    # B U with U = [[1 + st, s], [t, 1]], det 1: the same lattice, so the
+    # same fiber, from entries up to about 9 * 2^60, past int64.
+    v = tuple(data.draw(st.lists(st.integers(0, 12), min_size=b.n, max_size=b.n)))
+    rows = tuple((p * (1 + s * t) + q * t, p * s + q) for p, q in b.rows)
+    assert enumerate_fiber(GaleConfiguration(rows=rows), v).points == enumerate_fiber(b, v).points
+
+
+# Polygons {alpha : B alpha <= v} with a column that meets them in a real
+# interval holding no integer, before columns with fiber points: a walk
+# stopping at the first empty integer range misses points.  The walk
+# Lagrange-reduces B first; the second B is reduced already, so the walk
+# itself meets that column.
+THIN_POLYGONS = [
+    (((-1, 1), (2, -3), (-2, 4)), (0, 3, 0), 5, 10),
+    (((1, 2), (-3, 1), (-1, -3)), (1, 3, 0), 2, 3),
+]
+
+
+@pytest.mark.parametrize("rows, v, thin, size", THIN_POLYGONS)
+def test_thin_polygon_fiber(rows, v, thin, size):
+    b = GaleConfiguration(rows=rows)
+    assert _column_span(rows, [t - p * thin for (p, _), t in zip(rows, v)]) == range(0)
+    fiber = enumerate_fiber(b, v).points
+    assert len(fiber) == size
+    assert fiber == reference_enumerate_fiber(b, v)
 
 
 SMALL = st.integers(-5, 5)
