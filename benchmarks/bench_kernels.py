@@ -16,9 +16,10 @@ of N) of each Gale stage on 100 seeded dense (n-2) x n matrices, n
 kernel tail and the Lagrange stage are differences of two timings of
 the same matrix.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
-of the plain fan union, the symmetrized fan union and the Graver
-binomials built from it, and the median microseconds per Graver element
-(best of N) of the fiber oracle ``is_indispensable_oracle``.  Last,
+of the plain fan union, the half-turn of the symmetrized fan and the
+Graver binomials built from it (one per half-turn vector), and the
+median microseconds per Graver element (best of N) of the fiber oracle
+``is_indispensable_oracle``.  Last,
 the median wall milliseconds of ``python -m galerobust <cmd>`` on
 ``tests/data/example_4x6.mat`` for each subcommand, over CLI_RUNS fresh
 processes: start-up and imports included, since a subcommand loads only
@@ -49,9 +50,9 @@ from galerobust import (
 )
 from galerobust.errors import RankError, ZeroRowError
 from galerobust.intlinalg import _bareiss_forward
-from galerobust.hilbert import symmetrized_fan_hilbert_union
+from galerobust.hilbert import symmetrized_fan_half_turn
 from galerobust.oracle import _box_scan
-from galerobust.toric import _pair_binomials
+from galerobust.toric import binomial_from_gale
 
 
 def _random_rows(rng, n, bound):
@@ -173,20 +174,21 @@ def bench_fan_layers(repeat):
     problems = _fan_problems(100, seed=20260810)
     layers = {
         "fan_hilbert_union": [],
-        "symmetrized_fan_hilbert_union": [],
+        "symmetrized_fan_half_turn": [],
         "graver binomials": [],
         "is_indispensable_oracle": [],
     }
     for b in problems:
         reduced = reduce_configuration(b)
-        sym = symmetrized_fan_hilbert_union(reduced)
+        half = symmetrized_fan_half_turn(reduced)
         for name, fn in (
             ("fan_hilbert_union", lambda: fan_hilbert_union(reduced)),
-            ("symmetrized_fan_hilbert_union", lambda: symmetrized_fan_hilbert_union(reduced)),
-            ("graver binomials", lambda: _pair_binomials(b, sym.vectors, {})),
+            ("symmetrized_fan_half_turn", lambda: symmetrized_fan_half_turn(reduced)),
+            ("graver binomials", lambda: [binomial_from_gale(b, u) for u in half]),
         ):
             layers[name].append(_time(fn, repeat) * 1e6)
-        for x in _pair_binomials(b, sym.vectors, {}).values():
+        for u in half:
+            x = binomial_from_gale(b, u)
             t = _time(lambda: is_indispensable_oracle(b, x), repeat)
             layers["is_indispensable_oracle"].append(t * 1e6)
     print("fan layers: 100 seeded problems, n in 4..7, entries in +-4;")

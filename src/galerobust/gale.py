@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from . import planar
 from ._value import _Value
@@ -35,7 +35,7 @@ class GaleConfiguration(_Value, uncompared=("source",)):
         for i, row in enumerate(rows):
             if len(row) != 2:
                 raise ValueError("Gale rows must be 2-dimensional")
-            t = (int(row[0]), int(row[1]))
+            t = (index(row[0]), index(row[1]))
             if t == (0, 0):
                 raise _zero_row_error(i)
             clean.append(t)
@@ -242,10 +242,6 @@ def bouquets(b: GaleConfiguration) -> list[Bouquet]:
         d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
         groups.setdefault(d, []).append(i)
     return [
-        Bouquet(
-            members=frozenset(members),
-            direction=d,
-            mixed=d in ends and (-d[0], -d[1]) in ends,
-        )
+        Bouquet(frozenset(members), d, d in ends and (-d[0], -d[1]) in ends)
         for d, members in groups.items()
     ]

@@ -7,14 +7,15 @@ one step per basis element.
 
 A fan union is assembled in walk order: consecutive cones share a
 generator and each walk is already counterclockwise, so the chains are
-joined and rotated to start at angle 0, with no sort.  The centrally
-symmetric fan over {±rows} walks one half-turn and negates it for the
-other.
+joined and rotated to start at angle 0, with no sort.  The fan over
+{±rows} is centrally symmetric, so one half-turn holds each ± pair of
+its union once.
 """
 
 from __future__ import annotations
 
 import functools
+from operator import index
 
 from . import planar
 from ._value import _Value
@@ -35,8 +36,8 @@ class Cone2D(_Value):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Vec2, b: Vec2):
-        a = (int(a[0]), int(a[1]))
-        b = (int(b[0]), int(b[1]))
+        a = (index(a[0]), index(a[1]))
+        b = (index(b[0]), index(b[1]))
         if not planar.is_primitive(a) or not planar.is_primitive(b):
             raise ValueError("cone generators must be primitive")
         if cross(a, b) <= 0:
@@ -169,27 +170,27 @@ def _symmetric_directions(config: ReducedGaleConfiguration) -> tuple[Vec2, ...]:
     return tuple(sorted(doubled, key=functools.cmp_to_key(planar.angle_cmp)))
 
 
-def symmetrized_fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
-    """Fan union over the centrally symmetric direction set {±rows}.
+def symmetrized_fan_half_turn(config: ReducedGaleConfiguration) -> list[Vec2]:
+    """One vector of each +/- pair in the fan union over {±rows}.
 
     This is the fan of the doubled (Lawrence) configuration.  Its
     refinement of the plain fan can contribute extra Hilbert vectors when
     a negated direction is not already a visible point of its containing
     cone, which is exactly what separates primitive binomials from
-    indispensable ones.  The result is centrally symmetric as a set.
+    indispensable ones.  The union is centrally symmetric as a set.
 
     Sorted by angle, the directions are d0..d(k-1) in [0, pi) followed by
     their negations in the same order, so cone i+k is -(cone i) and its
-    Hilbert basis is the negated one: every cone is built and checked,
-    but only the first half-turn is walked.  Like the plain union, the
-    result comes out in walk order, counterclockwise from angle 0.
+    Hilbert basis is the negated one.  Every cone is built and checked,
+    but only cones 0..k-1 are walked: their chains without their first
+    vectors run counterclockwise from just after d0 to -d0, which holds
+    each pair of the union exactly once.
     """
     cones = _fan_cones(_symmetric_directions(config))
-    chains = [hilbert_basis(c) for c in cones[: len(cones) // 2]]
-    # Lists, not tuple(generator): the resized tuples fragmented the
-    # allocator and raised a long run's peak RSS by about 9 %.
-    chains += [[(-x, -y) for x, y in chain] for chain in chains]
-    return _union_in_walk_order(cones, chains)
+    half: list[Vec2] = []
+    for cone in cones[: len(cones) // 2]:
+        half.extend(hilbert_basis(cone)[1:])
+    return half
 
 
 def symmetric_core(h: HilbertBasisSet) -> tuple[Vec2, ...]:
@@ -209,11 +210,7 @@ def fan_radius_bound(config: ReducedGaleConfiguration) -> int:
     every primitive-binomial witness u has sup-norm at most this bound;
     brute-force verifiers add their own safety shell on top.
     """
-    dirs = _symmetric_directions(config)
-    if len(dirs) < 3:
-        raise GradingError("fewer than 3 distinct directions")
-    best = 0
-    for i, d in enumerate(dirs):
-        nxt = dirs[(i + 1) % len(dirs)]
-        best = max(best, max(abs(d[0]), abs(d[1])) + max(abs(nxt[0]), abs(nxt[1])))
-    return best
+    return max(
+        max(abs(c.a[0]), abs(c.a[1])) + max(abs(c.b[0]), abs(c.b[1]))
+        for c in _fan_cones(_symmetric_directions(config))
+    )

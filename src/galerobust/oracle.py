@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from itertools import combinations, count, islice
 from math import gcd
+from operator import index
 
 from ._value import _Value
 from .errors import GradingError, ShellWarning
@@ -93,7 +94,7 @@ def enumerate_fiber(b: GaleConfiguration, v) -> FiberEnumeration:
     B alpha <= v componentwise: a lattice point of that polygon, found by
     walking its columns.  Raises GradingError for ungraded configurations.
     """
-    vt = tuple(int(x) for x in v)
+    vt = tuple(map(index, v))
     return FiberEnumeration(target=vt, points=frozenset(_fiber_walk(b, vt)))
 
 

@@ -20,15 +20,6 @@ def cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def primitive(v: Sequence[int]) -> Vec2:
-    """Scale a nonzero integer vector so its entries are coprime."""
-    x, y = v
-    if x == 0 and y == 0:
-        raise ValueError(_ZERO_VECTOR)
-    g = gcd(abs(x), abs(y))
-    return (x // g, y // g)
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     return gcd(abs(v[0]), abs(v[1])) == 1
 

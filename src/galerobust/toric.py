@@ -12,6 +12,7 @@ of that report.
 from __future__ import annotations
 
 from functools import total_ordering
+from operator import index
 
 from . import planar
 from ._value import _Value
@@ -28,7 +29,7 @@ from .hilbert import (
     HilbertBasisSet,
     fan_hilbert_union,
     symmetric_core,
-    symmetrized_fan_hilbert_union,
+    symmetrized_fan_half_turn,
 )
 from .intlinalg import IntegerMatrix
 from .planar import Vec2
@@ -49,7 +50,7 @@ class Binomial(_Value):
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: tuple[int, ...], minus: tuple[int, ...]):
-        plus, minus = tuple(map(int, plus)), tuple(map(int, minus))
+        plus, minus = tuple(map(index, plus)), tuple(map(index, minus))
         if len(plus) != len(minus):
             raise ValueError("exponent vectors differ in length")
         if any(x < 0 for x in plus) or any(x < 0 for x in minus):
@@ -71,7 +72,7 @@ class Binomial(_Value):
     @classmethod
     def from_vector(cls, z) -> "Binomial":
         """Canonical binomial of a nonzero integer vector (sign chosen here)."""
-        return _trusted_binomial([int(x) for x in z])
+        return _trusted_binomial([index(x) for x in z])
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -136,28 +137,10 @@ def lawrence_lifting(a: IntegerMatrix) -> IntegerMatrix:
 
 def binomial_from_gale(b: GaleConfiguration, u) -> Binomial:
     """Binomial of the kernel vector B u, in canonical sign."""
-    x, y = int(u[0]), int(u[1])
+    x, y = index(u[0]), index(u[1])
     if x == 0 and y == 0:
         raise ValueError("u must be nonzero")
     return _trusted_binomial([r0 * x + r1 * y for r0, r1 in b.rows])
-
-
-def _pair_binomials(
-    b: GaleConfiguration, vectors, built: dict[Vec2, Binomial]
-) -> dict[Vec2, Binomial]:
-    """The binomial of each +/- pair among ``vectors``, keyed by its
-    sign-canonical representative.
-
-    u and -u name the same canonical binomial, so ``binomial_from_gale``
-    runs once per pair, on the representative, and not at all for a pair
-    already in ``built``.
-    """
-    pairs: dict[Vec2, Binomial] = {}
-    for u in vectors:
-        key = planar.sign_canonical(u)
-        if key not in pairs:
-            pairs[key] = built[key] if key in built else binomial_from_gale(b, key)
-    return pairs
 
 
 def indispensable_set(a: IntegerMatrix) -> frozenset[Binomial]:
@@ -280,13 +263,20 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
             break
     geometric_verdict = witness is None
 
-    # The core lies inside the symmetrized union, so its binomials are
-    # looked up among the Graver ones; a pair missing there is built anew
-    # and then fails the consistency checks below.
-    sym_union = symmetrized_fan_hilbert_union(reduced)
-    graver_pairs = _pair_binomials(b, sym_union.vectors, {})
-    graver = frozenset(graver_pairs.values())
-    indisp = frozenset(_pair_binomials(b, core, graver_pairs).values())
+    # One half-turn of the symmetrized fan holds each +/- pair of its
+    # union once, and u and -u name the same canonical binomial, so each
+    # vector gives one Graver binomial.  The core lies inside the union,
+    # so its binomials are looked up by sign-canonical key; a pair missing
+    # there is built anew and then fails the consistency checks below.
+    graver_by_key = {
+        planar.sign_canonical(u): binomial_from_gale(b, u)
+        for u in symmetrized_fan_half_turn(reduced)
+    }
+    graver = frozenset(graver_by_key.values())
+    indisp = frozenset(
+        graver_by_key[k] if k in graver_by_key else binomial_from_gale(b, k)
+        for k in map(planar.sign_canonical, core)
+    )
     if geometric_verdict != (indisp == graver):
         raise ConsistencyError(
             "geometric criterion and direct Graver comparison disagree; "

@@ -22,7 +22,7 @@ from galerobust import (
 from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
 from galerobust.intlinalg import _xgcd, column_hnf
-from galerobust.planar import angle_cmp, convex_hull, cross, primitive, sign_canonical
+from galerobust.planar import _ZERO_VECTOR, angle_cmp, convex_hull, cross, sign_canonical
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +59,15 @@ def example_matrix() -> IntegerMatrix:
 @pytest.fixture(scope="session")
 def twisted_cubic() -> IntegerMatrix:
     return IntegerMatrix(TWISTED_CUBIC)
+
+
+def primitive(v) -> tuple[int, int]:
+    """Scale a nonzero integer vector so its entries are coprime."""
+    x, y = v
+    if x == 0 and y == 0:
+        raise ValueError(_ZERO_VECTOR)
+    g = gcd(abs(x), abs(y))
+    return (x // g, y // g)
 
 
 def lattices_equal(m1: IntegerMatrix, m2: IntegerMatrix) -> bool:
@@ -204,7 +213,7 @@ def reference_is_positively_graded(b) -> bool:
 
     Deduplicates the primitive directions, sorts them by exact angle and
     requires every counterclockwise gap between neighbours to be below
-    pi.  A zero row raises ValueError from ``planar.primitive``.
+    pi.  A zero row raises ValueError from ``primitive``.
     """
     rows = b.rows if isinstance(b, GaleConfiguration) else tuple(map(tuple, b))
     dirs = sorted({primitive(row) for row in rows}, key=functools.cmp_to_key(angle_cmp))
@@ -348,6 +357,27 @@ def reference_fan_union(dirs) -> HilbertBasisSet:
         provenance=tuple((v, tuple(prov[v])) for v in vectors),
         cones=tuple(cones),
     )
+
+
+def full_turn(half) -> list[tuple[int, int]]:
+    """A half-turn of a centrally symmetric fan union, then its negations."""
+    return list(half) + [(-x, -y) for x, y in half]
+
+
+def assert_half_turn_of(half, union: HilbertBasisSet) -> None:
+    """``half`` is one half-turn of the centrally symmetric ``union``.
+
+    With d0 = -half[-1], every other vector lies strictly counterclockwise
+    of d0 and each step turns counterclockwise, so ``half`` runs in
+    increasing angle over the half-open half-turn after d0, where no
+    vector meets its negation.  With its negations it is the union's
+    vector set.
+    """
+    assert isinstance(half, list) and half
+    d0 = (-half[-1][0], -half[-1][1])
+    assert all(cross(d0, v) > 0 for v in half[:-1])
+    assert all(cross(u, v) > 0 for u, v in zip(half, half[1:]))
+    assert set(full_turn(half)) == set(union.vectors)
 
 
 def segment_lattice_points(u, w):

@@ -28,13 +28,14 @@ from galerobust import (
     reduce_configuration,
 )
 from galerobust.oracle import SHELL_WIDTH
-from galerobust.planar import cross, primitive
+from galerobust.planar import cross
 
 from conftest import (
     DATA,
     EXAMPLE_BINOMIALS,
     EXAMPLE_REDUCED_ROWS,
     hilbert_basis_visible,
+    primitive,
 )
 
 EXAMPLE_FILE = str(DATA / "example_4x6.mat")

@@ -16,9 +16,9 @@ from galerobust import (
     is_positively_graded,
     reduce_configuration,
 )
-from galerobust.planar import cross, primitive
+from galerobust.planar import cross
 
-from conftest import EXAMPLE_GALE_ROWS, EXAMPLE_REDUCED_ROWS, random_valid_instances
+from conftest import EXAMPLE_GALE_ROWS, EXAMPLE_REDUCED_ROWS, primitive, random_valid_instances
 
 
 def test_gale_transform_example_matrix(example_matrix):

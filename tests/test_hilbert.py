@@ -16,10 +16,18 @@ from galerobust import (
     symmetric_core,
 )
 from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
-from galerobust.hilbert import _symmetric_directions, symmetrized_fan_hilbert_union
-from galerobust.planar import cross, primitive
+from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_fan_half_turn
+from galerobust.planar import cross
 
-from conftest import EXAMPLE_A, EXAMPLE_UNION, hilbert_basis_visible, reference_fan_union
+from conftest import (
+    EXAMPLE_A,
+    EXAMPLE_UNION,
+    assert_half_turn_of,
+    full_turn,
+    hilbert_basis_visible,
+    primitive,
+    reference_fan_union,
+)
 
 
 def brute_cone_points(a, b):
@@ -258,14 +266,14 @@ def test_fan_cones_equal_checked_cones():
     # the cones the checking constructor gives, and non-primitive rows of a
     # hand-built configuration must still be refused.
     reduced = reduce_configuration(gale_transform(IntegerMatrix(EXAMPLE_A)))
-    for union in (fan_hilbert_union(reduced), symmetrized_fan_hilbert_union(reduced)):
-        for c in union.cones:
+    for cones in (fan_hilbert_union(reduced).cones, _fan_cones(_symmetric_directions(reduced))):
+        for c in cones:
             assert c == Cone2D(c.a, c.b)
             assert hash(c) == hash(Cone2D(c.a, c.b))
     bad = ReducedGaleConfiguration(
         rows=((2, 0), (0, 1), (-1, -1)), index_map=(0, 1, 2), angular_order=(0, 1, 2)
     )
-    for build in (fan_hilbert_union, symmetrized_fan_hilbert_union):
+    for build in (fan_hilbert_union, symmetrized_fan_half_turn, fan_radius_bound):
         with pytest.raises(ValueError, match="primitive"):
             build(bad)
 
@@ -277,8 +285,8 @@ def _reduced(rows):
 
 def _assert_unions_match_reference(reduced):
     assert fan_hilbert_union(reduced) == reference_fan_union(reduced.distinct_directions())
-    assert symmetrized_fan_hilbert_union(reduced) == reference_fan_union(
-        _symmetric_directions(reduced)
+    assert_half_turn_of(
+        symmetrized_fan_half_turn(reduced), reference_fan_union(_symmetric_directions(reduced))
     )
 
 
@@ -318,13 +326,20 @@ def test_symmetrized_fan_contains_plain_union():
     for m in random_valid_instances(12, seed=rng.randint(0, 10**6)):
         reduced = reduce_configuration(gale_transform(m))
         plain = set(fan_hilbert_union(reduced).vectors)
-        sym = set(symmetrized_fan_hilbert_union(reduced).vectors)
+        half = symmetrized_fan_half_turn(reduced)
+        sym = set(full_turn(half))
         assert plain <= sym
-        assert sym == {(-x, -y) for (x, y) in sym}
+        assert len(sym) == 2 * len(half)
 
 
 def test_fan_radius_bound_covers_union(example_matrix):
     reduced = reduce_configuration(gale_transform(example_matrix))
     bound = fan_radius_bound(reduced)
-    for v in symmetrized_fan_hilbert_union(reduced).vectors:
+    for v in full_turn(symmetrized_fan_half_turn(reduced)):
         assert max(abs(v[0]), abs(v[1])) <= bound
+    # Rows on one line leave two directions: the fan's own error.
+    line = ReducedGaleConfiguration(
+        rows=((1, 1), (-1, -1), (1, 1)), index_map=(0, 1, 2), angular_order=(0, 2, 1)
+    )
+    with pytest.raises(GradingError, match="only 2 distinct directions"):
+        fan_radius_bound(line)

@@ -22,9 +22,8 @@ from galerobust import (
 )
 from galerobust import toric
 from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
-from galerobust.hilbert import HilbertBasisSet, symmetrized_fan_hilbert_union
 
-from conftest import EXAMPLE_BINOMIALS, random_valid_instances, reference_binomials
+from conftest import EXAMPLE_BINOMIALS, full_turn, random_valid_instances, reference_binomials
 
 
 def as_pairs(bins):
@@ -243,10 +242,13 @@ def test_render_styles():
 
 
 def test_pair_binomials_match_reference(acceptance_suite):
+    # One Graver binomial per half-turn vector, each built from one side
+    # of its +/- pair; the reference builds every vector of the union.
     for a in acceptance_suite:
         report = is_strongly_robust(a)
-        sym = symmetrized_fan_hilbert_union(report.reduced)
-        assert report.graver == reference_binomials(report.gale, sym.vectors)
+        half = toric.symmetrized_fan_half_turn(report.reduced)
+        assert report.graver == reference_binomials(report.gale, full_turn(half))
+        assert len(report.graver) == len(half)
         assert report.indispensable == reference_binomials(report.gale, report.h_core)
         assert graver_basis(a) == report.graver
         assert indispensable_set(a) == report.indispensable
@@ -255,17 +257,16 @@ def test_pair_binomials_match_reference(acceptance_suite):
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
 def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatch):
     a = request.getfixturevalue(name)
-    real = toric.symmetrized_fan_hilbert_union
+    real = toric.symmetrized_fan_half_turn
 
-    def union_without_a_core_pair(config):
-        union = real(config)
+    def half_turn_without_a_core_pair(config):
+        half = real(config)
         u = toric.symmetric_core(toric.fan_hilbert_union(config))[0]
         pair = {u, (-u[0], -u[1])}
-        assert pair <= set(union.vectors)
-        kept = tuple(v for v in union.vectors if v not in pair)
-        return HilbertBasisSet(kept, union.provenance, union.cones)
+        assert len(pair & set(half)) == 1
+        return [v for v in half if v not in pair]
 
-    monkeypatch.setattr(toric, "symmetrized_fan_hilbert_union", union_without_a_core_pair)
+    monkeypatch.setattr(toric, "symmetrized_fan_half_turn", half_turn_without_a_core_pair)
     with pytest.raises(ConsistencyError):
         toric.is_strongly_robust(a)
 

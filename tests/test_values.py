@@ -22,10 +22,12 @@ from galerobust import (
     RobustnessReport,
     gale_transform,
     is_strongly_robust,
+    binomial_from_gale,
+    enumerate_fiber,
     reduce_configuration,
 )
 
-from conftest import EXAMPLE_A, TWISTED_CUBIC
+from conftest import EXAMPLE_A, EXAMPLE_GALE_ROWS, TWISTED_CUBIC
 
 GALE_ROWS = ((1, 2), (-2, 1), (-1, -2))
 
@@ -141,6 +143,25 @@ def test_binomial_constructor_stores_int_tuples():
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
     assert len({from_lists, from_tuples}) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Binomial([1.5, 0], [0, 1]),
+        lambda: Binomial.from_vector([1.5, -1]),
+        lambda: binomial_from_gale(GaleConfiguration(EXAMPLE_GALE_ROWS), (1.5, 0)),
+        lambda: Cone2D((1.5, 0), (0, 1)),
+        lambda: GaleConfiguration(((2.5, 1), (-1, 1), (-1, -2))),
+        lambda: enumerate_fiber(GaleConfiguration(EXAMPLE_GALE_ROWS), [1.5, 0, 0, 0, 0, 0]),
+    ],
+    ids=["Binomial", "from_vector", "binomial_from_gale", "Cone2D", "GaleConfiguration",
+         "enumerate_fiber"],
+)
+def test_constructors_refuse_non_integers(build):
+    # int() would truncate 1.5 to 1 and build a different value.
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_pickle_and_copy_round_trips(case):
