@@ -17,13 +17,12 @@ kernel tail and the Lagrange stage are differences of two timings of
 the same matrix.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
 of the plain fan union, the half-turn of the symmetrized fan and the
-Graver binomials built from it (one per half-turn vector), and the
-median microseconds per Graver element (best of N) of the fiber oracle
-``is_indispensable_oracle``.  Last,
-the median wall milliseconds of ``python -m galerobust <cmd>`` on
-``tests/data/example_4x6.mat`` for each subcommand, over CLI_RUNS fresh
-processes: start-up and imports included, since a subcommand loads only
-the modules it runs.
+Graver binomials built from it in one batch (one per half-turn vector),
+and the median microseconds per Graver element (best of N) of the fiber
+oracle ``is_indispensable_oracle``.  Last, the median wall milliseconds
+of ``python -m galerobust <cmd>`` on ``tests/data/example_4x6.mat`` for
+each subcommand, over CLI_RUNS fresh processes: start-up and imports
+included, since a subcommand loads only the modules it runs.
 """
 
 import argparse
@@ -52,7 +51,7 @@ from galerobust.errors import RankError, ZeroRowError
 from galerobust.intlinalg import _bareiss_forward
 from galerobust.hilbert import symmetrized_fan_half_turn
 from galerobust.oracle import _box_scan
-from galerobust.toric import binomial_from_gale
+from galerobust.toric import _gale_binomials
 
 
 def _random_rows(rng, n, bound):
@@ -184,11 +183,10 @@ def bench_fan_layers(repeat):
         for name, fn in (
             ("fan_hilbert_union", lambda: fan_hilbert_union(reduced)),
             ("symmetrized_fan_half_turn", lambda: symmetrized_fan_half_turn(reduced)),
-            ("graver binomials", lambda: [binomial_from_gale(b, u) for u in half]),
+            ("graver binomials", lambda: _gale_binomials(b, half)),
         ):
             layers[name].append(_time(fn, repeat) * 1e6)
-        for u in half:
-            x = binomial_from_gale(b, u)
+        for x in _gale_binomials(b, half):
             t = _time(lambda: is_indispensable_oracle(b, x), repeat)
             layers["is_indispensable_oracle"].append(t * 1e6)
     print("fan layers: 100 seeded problems, n in 4..7, entries in +-4;")

@@ -8,7 +8,7 @@ divisibility-minimal elements.  None of it touches the Hilbert-basis
 code paths, which is the point: agreement between the two routes is the
 strongest correctness check the package has.
 
-The module is cheap to import: ``Binomial`` is imported inside the
+The module is cheap to import: ``toric`` is imported inside the
 functions that use it.
 """
 
@@ -208,7 +208,7 @@ def graver_bruteforce(b: GaleConfiguration, radius: int) -> frozenset[Binomial]:
     SHELL_WIDTH); if any surviving element touches the outer shell a
     ShellWarning is emitted because the box was probably too small.
     """
-    from .toric import Binomial
+    from .toric import _gale_binomials
 
     if radius < 1:
         raise ValueError("radius must be positive")
@@ -220,7 +220,4 @@ def graver_bruteforce(b: GaleConfiguration, radius: int) -> frozenset[Binomial]:
                 "box; rerun with a larger radius"
             )
         )
-    out = set()
-    for u1, u2 in kept:
-        out.add(Binomial.from_vector(b.kernel_vector((u1, u2))))
-    return frozenset(out)
+    return frozenset(_gale_binomials(b, kept))

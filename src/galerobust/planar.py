@@ -8,6 +8,7 @@ comparisons and hull constructions are exact.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 Vec2 = tuple[int, int]
@@ -60,7 +61,7 @@ def convex_hull(points: Iterable[Sequence[int]]) -> list[Vec2]:
     boundary points are dropped, so the result is the vertex set.
     Degenerate inputs return fewer than 3 points (a point or a segment).
     """
-    pts = sorted({(int(p[0]), int(p[1])) for p in points})
+    pts = sorted({(index(p[0]), index(p[1])) for p in points})
     if len(pts) <= 2:
         return pts
 

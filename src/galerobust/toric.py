@@ -42,8 +42,10 @@ class Binomial(_Value):
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
     representative per sign pair).  The public constructor stores both
-    parts as int tuples and checks them all; ``from_vector`` is the trusted constructor, which builds the
-    pair so that they hold and skips the checks.  Binomials are ordered
+    parts as int tuples and checks them all.  ``from_vector`` and
+    ``binomial_from_gale`` check only that their input is a nonzero
+    integer vector; they split it into parts that meet every invariant
+    by construction and skip the other checks.  Binomials are ordered
     by (plus, minus).
     """
 
@@ -72,31 +74,40 @@ class Binomial(_Value):
     @classmethod
     def from_vector(cls, z) -> "Binomial":
         """Canonical binomial of a nonzero integer vector (sign chosen here)."""
-        return _trusted_binomial([index(x) for x in z])
+        coords = [[index(x)] for x in z]
+        if not coords:
+            raise ValueError("zero vector yields no binomial")
+        return _trusted_binomials(coords)[0]
 
     @property
     def vector(self) -> tuple[int, ...]:
         return tuple(p - m for p, m in zip(self.plus, self.minus))
 
 
-def _trusted_binomial(z: list[int]) -> Binomial:
-    """The canonical binomial of an int list; ValueError if it is zero.
+def _trusted_binomials(coords: list[list[int]]) -> list[Binomial]:
+    """Canonical binomials of int vectors given coordinate-wise, in order.
 
-    The positive and negative parts of a nonzero z meet every invariant
-    of ``Binomial`` once the lex-greater one is ``plus``, so the fields
-    are set directly and ``__init__`` does not run.
+    ``coords[j]`` lists the j-th coordinate of every vector, so each part
+    takes one comprehension per coordinate rather than one per vector.
+    The positive and negative parts of a nonzero vector meet every
+    invariant of ``Binomial`` once the lex-greater one is ``plus``, so
+    the fields are set directly and ``__init__`` does not run.
+    ValueError if any vector is zero.
     """
-    plus = tuple([x if x > 0 else 0 for x in z])
-    minus = tuple([-x if x < 0 else 0 for x in z])
-    if plus <= minus:
-        # Disjoint supports: the parts are equal only when both are zero.
-        if plus == minus:
-            raise ValueError("zero vector yields no binomial")
-        plus, minus = minus, plus
-    binomial = object.__new__(Binomial)
-    object.__setattr__(binomial, "plus", plus)
-    object.__setattr__(binomial, "minus", minus)
-    return binomial
+    pluses = zip(*[[x if x > 0 else 0 for x in c] for c in coords])
+    minuses = zip(*[[-x if x < 0 else 0 for x in c] for c in coords])
+    out = []
+    for plus, minus in zip(pluses, minuses):
+        if plus <= minus:
+            # Disjoint supports: the parts are equal only when both are zero.
+            if plus == minus:
+                raise ValueError("zero vector yields no binomial")
+            plus, minus = minus, plus
+        binomial = object.__new__(Binomial)
+        object.__setattr__(binomial, "plus", plus)
+        object.__setattr__(binomial, "minus", minus)
+        out.append(binomial)
+    return out
 
 
 def variable_names(n: int, letters: bool = False) -> list[str]:
@@ -140,7 +151,16 @@ def binomial_from_gale(b: GaleConfiguration, u) -> Binomial:
     x, y = index(u[0]), index(u[1])
     if x == 0 and y == 0:
         raise ValueError("u must be nonzero")
-    return _trusted_binomial([r0 * x + r1 * y for r0, r1 in b.rows])
+    return _gale_binomials(b, [(x, y)])[0]
+
+
+def _gale_binomials(b: GaleConfiguration, us: list[Vec2]) -> list[Binomial]:
+    """Binomials of the kernel vectors B u for u in us, in order.
+
+    The product B U is taken one Gale row at a time: row j gives the j-th
+    coordinate of every B u.  ValueError if some B u is zero.
+    """
+    return _trusted_binomials([[r0 * x + r1 * y for x, y in us] for r0, r1 in b.rows])
 
 
 def indispensable_set(a: IntegerMatrix) -> frozenset[Binomial]:
@@ -264,18 +284,19 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     geometric_verdict = witness is None
 
     # One half-turn of the symmetrized fan holds each +/- pair of its
-    # union once, and u and -u name the same canonical binomial, so each
-    # vector gives one Graver binomial.  The core lies inside the union,
-    # so its binomials are looked up by sign-canonical key; a pair missing
-    # there is built anew and then fails the consistency checks below.
-    graver_by_key = {
-        planar.sign_canonical(u): binomial_from_gale(b, u)
-        for u in symmetrized_fan_half_turn(reduced)
-    }
+    # union once, and u and -u name the same canonical binomial, so the
+    # Graver binomials are built in one batch, one per half-turn vector.
+    # The core lies inside the union, so its binomials are looked up by
+    # sign-canonical key; the pairs missing there are built in one more
+    # batch, never dropped, and then fail the consistency checks below.
+    half = symmetrized_fan_half_turn(reduced)
+    graver_by_key = dict(zip(map(planar.sign_canonical, half), _gale_binomials(b, half)))
     graver = frozenset(graver_by_key.values())
+    core_keys = set(map(planar.sign_canonical, core))
+    missing = [k for k in core_keys if k not in graver_by_key]
     indisp = frozenset(
-        graver_by_key[k] if k in graver_by_key else binomial_from_gale(b, k)
-        for k in map(planar.sign_canonical, core)
+        [graver_by_key[k] for k in core_keys if k in graver_by_key]
+        + _gale_binomials(b, missing)
     )
     if geometric_verdict != (indisp == graver):
         raise ConsistencyError(

@@ -241,23 +241,27 @@ def reference_bouquets(b) -> list[Bouquet]:
     return out
 
 
-def reference_binomials(b, vectors) -> frozenset[Binomial]:
-    """One checked Binomial per fan vector, u and -u each built apart.
+def reference_binomial(z) -> Binomial:
+    """The canonical binomial of one int vector, built and checked alone.
 
-    The construction the fan path used before it built one binomial per
-    +/- pair: the kernel vector B u is split into its positive and
-    negative parts, the lex-greater part becomes ``plus``, and the public
-    constructor validates the result.
+    The per-vector construction the package used before it built whole
+    batches coordinate-wise: the positive and negative parts of z, the
+    lex-greater one as ``plus``, validated by the public constructor.
+    ValueError with the package's text if z is zero.
     """
-    out = set()
-    for u in vectors:
-        z = b.kernel_vector(tuple(u))
-        plus = tuple(max(x, 0) for x in z)
-        minus = tuple(max(-x, 0) for x in z)
-        if plus <= minus:
-            plus, minus = minus, plus
-        out.add(Binomial(plus=plus, minus=minus))
-    return frozenset(out)
+    plus = tuple([x if x > 0 else 0 for x in z])
+    minus = tuple([-x if x < 0 else 0 for x in z])
+    if plus <= minus:
+        # Disjoint supports: the parts are equal only when both are zero.
+        if plus == minus:
+            raise ValueError("zero vector yields no binomial")
+        plus, minus = minus, plus
+    return Binomial(plus=plus, minus=minus)
+
+
+def reference_binomials(b, vectors) -> frozenset[Binomial]:
+    """One checked Binomial per fan vector, u and -u each built apart."""
+    return frozenset(reference_binomial(b.kernel_vector(tuple(u))) for u in vectors)
 
 
 def reference_box_scan(rows, radius: int) -> list[tuple[int, int]]:

@@ -6,8 +6,11 @@ assembly over every cone (``reference_fan_union`` in conftest) in
 vectors, provenance and cones.  The symmetrized fan must build the same
 cones, and its half-turn must be one half of the reference union, in
 counterclockwise order.  Both fail with the same GradingError texts.
-``binomial_from_gale`` and ``Binomial.from_vector`` share one unchecked
-builder, so each result must also pass the public constructor's checks.
+``binomial_from_gale`` and ``Binomial.from_vector`` are one-vector calls
+of the unchecked batch builder behind ``_gale_binomials``, so each
+result must also pass the public constructor's checks, and a batch must
+equal the per-vector reference (``reference_binomial`` in conftest),
+checked by that constructor, in order.
 """
 
 import pytest
@@ -22,9 +25,9 @@ from galerobust import (
     reduce_configuration,
 )
 from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_fan_half_turn
-from galerobust.toric import binomial_from_gale
+from galerobust.toric import _gale_binomials, binomial_from_gale
 
-from conftest import assert_half_turn_of, reference_fan_union
+from conftest import assert_half_turn_of, reference_binomial, reference_fan_union
 
 
 @st.composite
@@ -34,6 +37,19 @@ def _gale_configurations(draw, bound=40):
         lambda r: r != (0, 0)
     )
     return GaleConfiguration(rows=tuple(draw(st.lists(row, min_size=3, max_size=9))))
+
+
+_BIG = st.integers(-(2**70), 2**70)
+_NONZERO_U = st.tuples(_BIG, _BIG).filter(lambda u: u != (0, 0))
+
+
+@st.composite
+def _batches(draw):
+    """1-40 nonzero u to +-2**70, with repeats and +-u pairs, shuffled."""
+    base = draw(st.lists(_NONZERO_U, min_size=1, max_size=20))
+    picks = draw(st.lists(st.tuples(st.sampled_from(base), st.booleans()), max_size=20))
+    batch = base + [(-x, -y) if neg else (x, y) for (x, y), neg in picks]
+    return draw(st.permutations(batch))
 
 
 @st.composite
@@ -78,12 +94,7 @@ def test_fan_unions_equal_sorted_assembly(b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    _gale_configurations(bound=2**70),
-    st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)).filter(
-        lambda u: u != (0, 0)
-    ),
-)
+@given(_gale_configurations(bound=2**70), _NONZERO_U)
 def test_binomial_from_gale_equals_from_vector(b, u):
     z = b.kernel_vector(u)
     if not any(z):
@@ -95,3 +106,35 @@ def test_binomial_from_gale_equals_from_vector(b, u):
     built = binomial_from_gale(b, u)
     assert built == Binomial.from_vector(z)
     assert Binomial(plus=built.plus, minus=built.minus) == built
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gale_configurations(bound=2**70), _batches())
+def test_gale_binomials_equal_checked_reference_in_order(b, us):
+    zs = [b.kernel_vector(u) for u in us]
+    if not all(map(any, zs)):
+        # Rows on one line: some u can lie in the kernel of B.
+        with pytest.raises(ValueError, match="zero vector yields no binomial"):
+            _gale_binomials(b, us)
+        return
+    built = _gale_binomials(b, us)
+    assert built == [reference_binomial(z) for z in zs]
+
+
+@st.composite
+def _collinear_batches(draw):
+    """Rows k*(p, q) on one line, and a batch holding (-q, p), B's kernel."""
+    p, q = draw(_NONZERO_U)
+    ks = draw(st.lists(_BIG.filter(bool), min_size=3, max_size=9))
+    b = GaleConfiguration(rows=tuple((k * p, k * q) for k in ks))
+    batch = draw(_batches())
+    at = draw(st.integers(0, len(batch)))
+    return b, batch[:at] + [(-q, p)] + batch[at:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_collinear_batches())
+def test_gale_binomials_reject_a_batch_with_a_zero_kernel_vector(case):
+    b, us = case
+    with pytest.raises(ValueError, match="zero vector yields no binomial"):
+        _gale_binomials(b, us)

@@ -52,6 +52,13 @@ def test_from_vector_canonical_sign():
     assert b1.vector == z
 
 
+def test_from_vector_rejects_the_empty_vector():
+    # The empty vector is the zero vector of length 0: no coordinate
+    # lists, so the batch builder alone would return no binomial at all.
+    with pytest.raises(ValueError, match="zero vector yields no binomial"):
+        Binomial.from_vector(())
+
+
 def test_binomial_from_gale_point(example_matrix):
     b = gale_transform(example_matrix)
     bin11 = binomial_from_gale(b, (1, 1))

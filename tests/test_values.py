@@ -23,6 +23,7 @@ from galerobust import (
     gale_transform,
     is_strongly_robust,
     binomial_from_gale,
+    centrally_symmetric_hull,
     enumerate_fiber,
     reduce_configuration,
 )
@@ -154,9 +155,12 @@ def test_binomial_constructor_stores_int_tuples():
         lambda: Cone2D((1.5, 0), (0, 1)),
         lambda: GaleConfiguration(((2.5, 1), (-1, 1), (-1, -2))),
         lambda: enumerate_fiber(GaleConfiguration(EXAMPLE_GALE_ROWS), [1.5, 0, 0, 0, 0, 0]),
+        lambda: centrally_symmetric_hull(
+            ReducedGaleConfiguration(((1.5, 0), (0, 1), (-1, 0), (0, -1)), (0, 1, 2, 3), (1, 2, 3, 0))
+        ),
     ],
     ids=["Binomial", "from_vector", "binomial_from_gale", "Cone2D", "GaleConfiguration",
-         "enumerate_fiber"],
+         "enumerate_fiber", "convex_hull"],
 )
 def test_constructors_refuse_non_integers(build):
     # int() would truncate 1.5 to 1 and build a different value.
