@@ -16,10 +16,10 @@ of N) of each Gale stage on 100 seeded dense (n-2) x n matrices, n
 kernel tail and the Lagrange stage are differences of two timings of
 the same matrix.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
-of the plain fan union, the half-turn of the symmetrized fan and the
-Graver binomials built from it in one batch (one per half-turn vector),
-and the median microseconds per Graver element (best of N) of the fiber
-oracle ``is_indispensable_oracle``.  Last, the median wall milliseconds
+of the plain fan union, the half-turn of the symmetrized fan read off
+that union, and the Graver binomials built from it in one batch (one
+per half-turn vector), and the median microseconds per Graver element
+(best of N) of the fiber oracle ``is_indispensable_oracle``.  Last, the median wall milliseconds
 of ``python -m galerobust <cmd>`` on ``tests/data/example_4x6.mat`` for
 each subcommand, over CLI_RUNS fresh processes: start-up and imports
 included, since a subcommand loads only the modules it runs.
@@ -49,7 +49,7 @@ from galerobust import (
 )
 from galerobust.errors import RankError, ZeroRowError
 from galerobust.intlinalg import _bareiss_forward
-from galerobust.hilbert import symmetrized_fan_half_turn
+from galerobust.hilbert import symmetrized_half_turn
 from galerobust.oracle import _box_scan
 from galerobust.toric import _gale_binomials
 
@@ -173,16 +173,17 @@ def bench_fan_layers(repeat):
     problems = _fan_problems(100, seed=20260810)
     layers = {
         "fan_hilbert_union": [],
-        "symmetrized_fan_half_turn": [],
+        "symmetrized_half_turn": [],
         "graver binomials": [],
         "is_indispensable_oracle": [],
     }
     for b in problems:
         reduced = reduce_configuration(b)
-        half = symmetrized_fan_half_turn(reduced)
+        union = fan_hilbert_union(reduced)
+        half = symmetrized_half_turn(union)
         for name, fn in (
             ("fan_hilbert_union", lambda: fan_hilbert_union(reduced)),
-            ("symmetrized_fan_half_turn", lambda: symmetrized_fan_half_turn(reduced)),
+            ("symmetrized_half_turn", lambda: symmetrized_half_turn(union)),
             ("graver binomials", lambda: _gale_binomials(b, half)),
         ):
             layers[name].append(_time(fn, repeat) * 1e6)

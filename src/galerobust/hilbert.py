@@ -8,13 +8,13 @@ one step per basis element.
 A fan union is assembled in walk order: consecutive cones share a
 generator and each walk is already counterclockwise, so the chains are
 joined and rotated to start at angle 0, with no sort.  The fan over
-{±rows} is centrally symmetric, so one half-turn holds each ± pair of
-its union once.
+{±rows} is centrally symmetric; one half-turn of its union, read off
+the plain union, holds each ± pair once.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 from operator import index
 
 from . import planar
@@ -164,32 +164,45 @@ def fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
     return _union_in_walk_order(cones, [hilbert_basis(c) for c in cones])
 
 
-def _symmetric_directions(config: ReducedGaleConfiguration) -> tuple[Vec2, ...]:
-    """The distinct directions of {±rows}, counterclockwise."""
-    doubled = set(config.rows) | {(-x, -y) for x, y in config.rows}
-    return tuple(sorted(doubled, key=functools.cmp_to_key(planar.angle_cmp)))
+def _half_merge(vectors: tuple[Vec2, ...]) -> list[Vec2]:
+    """The distinct members of ±vectors in [0, pi), counterclockwise.
 
-
-def symmetrized_fan_half_turn(config: ReducedGaleConfiguration) -> list[Vec2]:
-    """One vector of each +/- pair in the fan union over {±rows}.
-
-    This is the fan of the doubled (Lawrence) configuration.  Its
-    refinement of the plain fan can contribute extra Hilbert vectors when
-    a negated direction is not already a visible point of its containing
-    cone, which is exactly what separates primitive binomials from
-    indispensable ones.  The union is centrally symmetric as a set.
-
-    Sorted by angle, the directions are d0..d(k-1) in [0, pi) followed by
-    their negations in the same order, so cone i+k is -(cone i) and its
-    Hilbert basis is the negated one.  Every cone is built and checked,
-    but only cones 0..k-1 are walked: their chains without their first
-    vectors run counterclockwise from just after d0 to -d0, which holds
-    each pair of the union exactly once.
+    ``vectors`` are primitive, distinct and counterclockwise from angle 0.
     """
-    cones = _fan_cones(_symmetric_directions(config))
+    split = bisect.bisect(vectors, 0, key=planar._half)
+    lower = [(-x, -y) for x, y in vectors[split:]]
+    merged: list[Vec2] = []
+    j = 0
+    for u in vectors[:split]:
+        while j < len(lower) and cross(lower[j], u) >= 0:
+            if lower[j] != u:
+                merged.append(lower[j])
+            j += 1
+        merged.append(u)
+    return merged + lower[j:]
+
+
+def _symmetric_directions(config: ReducedGaleConfiguration) -> tuple[Vec2, ...]:
+    """The distinct directions of {±rows}, counterclockwise from angle 0."""
+    half = _half_merge(config.distinct_directions())
+    return tuple(half + [(-x, -y) for x, y in half])
+
+
+def symmetrized_half_turn(union: HilbertBasisSet) -> list[Vec2]:
+    """One vector of each ± pair of H_S, the union of the fan over {±rows}.
+
+    That fan (of the Lawrence configuration) refines the plain one, and
+    irreducible stays irreducible in a subcone: H_S holds the plain union
+    H_P and -H_P.  Their runs step by determinant 1, so H_S adds only the
+    walks across their gaps of determinant > 1.  With M their vectors in
+    [0, pi), the result runs from just after M[0] to -M[0].
+    """
+    merged = _half_merge(union.vectors)
     half: list[Vec2] = []
-    for cone in cones[: len(cones) // 2]:
-        half.extend(hilbert_basis(cone)[1:])
+    for p, q in zip(merged, merged[1:] + [(-merged[0][0], -merged[0][1])]):
+        if cross(p, q) > 1:
+            half.extend(hilbert_basis(_trusted_cone(p, q))[1:-1])
+        half.append(q)
     return half
 
 

@@ -25,14 +25,6 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(abs(v[0]), abs(v[1])) == 1
 
 
-def sign_canonical(v: Sequence[int]) -> Vec2:
-    """One representative per +/- pair: first nonzero coordinate positive."""
-    x, y = v
-    if x < 0 or (x == 0 and y < 0):
-        return (-x, -y)
-    return (x, y)
-
-
 def _half(v: Sequence[int]) -> int:
     # 0 for angles in [0, pi), 1 for [pi, 2*pi).
     x, y = v

@@ -1,12 +1,12 @@
 """Binomial-level semantics of codimension-2 toric ideals.
 
 Binomials are exponent-vector pairs (plus, minus) with disjoint supports;
-no polynomial objects are materialized.  The indispensable set, Graver
-basis, Markov basis and the strong-robustness verdict are all read off
-the planar fan of the reduced Gale configuration, in one pass:
-``is_strongly_robust`` returns them in a ``RobustnessReport``, and
-``graver_basis``, ``indispensable_set`` and ``markov_basis`` are views
-of that report.
+no polynomial objects are materialized.  All is read off the one plain
+fan of the reduced Gale configuration: the indispensable set off its
+union's symmetric core, the Graver basis off that union, its negation
+and the walks across their gaps.  ``is_strongly_robust`` returns them
+in a ``RobustnessReport``; ``graver_basis``, ``indispensable_set`` and
+``markov_basis`` are views of that report.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .hilbert import (
     HilbertBasisSet,
     fan_hilbert_union,
     symmetric_core,
-    symmetrized_fan_half_turn,
+    symmetrized_half_turn,
 )
 from .intlinalg import IntegerMatrix
 from .planar import Vec2
@@ -283,20 +283,15 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
             break
     geometric_verdict = witness is None
 
-    # One half-turn of the symmetrized fan holds each +/- pair of its
-    # union once, and u and -u name the same canonical binomial, so the
-    # Graver binomials are built in one batch, one per half-turn vector.
-    # The core lies inside the union, so its binomials are looked up by
-    # sign-canonical key; the pairs missing there are built in one more
-    # batch, never dropped, and then fail the consistency checks below.
-    half = symmetrized_fan_half_turn(reduced)
-    graver_by_key = dict(zip(map(planar.sign_canonical, half), _gale_binomials(b, half)))
-    graver = frozenset(graver_by_key.values())
-    core_keys = set(map(planar.sign_canonical, core))
-    missing = [k for k in core_keys if k not in graver_by_key]
+    # u and -u name one binomial, so each core pair takes it from whichever
+    # member is in the half-turn.  Pairs under neither are built apart and
+    # never dropped, so that the consistency checks below catch them.
+    half = symmetrized_half_turn(union)
+    graver_by_u = dict(zip(half, _gale_binomials(b, half)))
+    graver = frozenset(graver_by_u.values())
+    missing = [u for u in core if u not in graver_by_u and (-u[0], -u[1]) not in graver_by_u]
     indisp = frozenset(
-        [graver_by_key[k] for k in core_keys if k in graver_by_key]
-        + _gale_binomials(b, missing)
+        [graver_by_u[u] for u in core if u in graver_by_u] + _gale_binomials(b, missing)
     )
     if geometric_verdict != (indisp == graver):
         raise ConsistencyError(

@@ -22,7 +22,7 @@ from galerobust import (
 from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
 from galerobust.intlinalg import _xgcd, column_hnf
-from galerobust.planar import _ZERO_VECTOR, angle_cmp, convex_hull, cross, sign_canonical
+from galerobust.planar import _ZERO_VECTOR, angle_cmp, convex_hull, cross
 
 DATA = Path(__file__).parent / "data"
 
@@ -68,6 +68,14 @@ def primitive(v) -> tuple[int, int]:
         raise ValueError(_ZERO_VECTOR)
     g = gcd(abs(x), abs(y))
     return (x // g, y // g)
+
+
+def sign_canonical(v) -> tuple[int, int]:
+    """One representative per +/- pair: first nonzero coordinate positive."""
+    x, y = v
+    if x < 0 or (x == 0 and y < 0):
+        return (-x, -y)
+    return (x, y)
 
 
 def lattices_equal(m1: IntegerMatrix, m2: IntegerMatrix) -> bool:
@@ -331,13 +339,8 @@ def reference_enumerate_fiber(b, v) -> frozenset[tuple[int, ...]]:
     return frozenset(points)
 
 
-def reference_fan_union(dirs) -> HilbertBasisSet:
-    """Fan union assembled by sorting, as before unions kept walk order.
-
-    One Hilbert basis per consecutive cone, a provenance dict filled cone
-    by cone, then an exact angle sort of the distinct vectors.  Raises
-    the same GradingError texts as the fan code.
-    """
+def _reference_cones(dirs) -> list[Cone2D]:
+    """Checked cones between consecutive directions, with the fan's errors."""
     if len(dirs) < 3:
         raise GradingError(
             f"only {len(dirs)} distinct directions; the fan cannot cover the plane"
@@ -351,6 +354,17 @@ def reference_fan_union(dirs) -> HilbertBasisSet:
                 "the configuration is not positively graded"
             )
         cones.append(Cone2D(d, nxt))
+    return cones
+
+
+def reference_fan_union(dirs) -> HilbertBasisSet:
+    """Fan union assembled by sorting, as before unions kept walk order.
+
+    One Hilbert basis per consecutive cone, a provenance dict filled cone
+    by cone, then an exact angle sort of the distinct vectors.  Raises
+    the same GradingError texts as the fan code.
+    """
+    cones = _reference_cones(dirs)
     prov: dict = {}
     for idx, cone in enumerate(cones):
         for v in hilbert_basis(cone):
@@ -361,6 +375,28 @@ def reference_fan_union(dirs) -> HilbertBasisSet:
         provenance=tuple((v, tuple(prov[v])) for v in vectors),
         cones=tuple(cones),
     )
+
+
+def reference_symmetric_directions(config) -> tuple[tuple[int, int], ...]:
+    """The distinct directions of {±rows}, by an exact angle sort."""
+    doubled = set(config.rows) | {(-x, -y) for x, y in config.rows}
+    return tuple(sorted(doubled, key=functools.cmp_to_key(angle_cmp)))
+
+
+def reference_half_turn(config) -> list[tuple[int, int]]:
+    """The symmetrized fan's half-turn, walked cone by cone on that fan.
+
+    The package's construction before the half-turn was read off the
+    plain union: sort {±rows} by angle into d0..d(k-1) in [0, pi) and
+    their negations, build and check all 2k cones, and walk cones
+    0..k-1, whose chains without their first vectors run from just after
+    d0 to -d0.
+    """
+    cones = _reference_cones(reference_symmetric_directions(config))
+    half: list[tuple[int, int]] = []
+    for cone in cones[: len(cones) // 2]:
+        half.extend(hilbert_basis(cone)[1:])
+    return half
 
 
 def full_turn(half) -> list[tuple[int, int]]:

@@ -3,9 +3,11 @@ binomial builder.
 
 The plain union is assembled in walk order and must equal the sort-based
 assembly over every cone (``reference_fan_union`` in conftest) in
-vectors, provenance and cones.  The symmetrized fan must build the same
-cones, and its half-turn must be one half of the reference union, in
-counterclockwise order.  Both fail with the same GradingError texts.
+vectors, provenance and cones, and fail with the same GradingError
+texts.  The symmetrized fan must build the same cones over the same
+directions, and the half-turn read off the plain union must be one half
+of its reference union, in counterclockwise order, with the ± pairs of
+the half-turn walked cone by cone (``reference_half_turn``).
 ``binomial_from_gale`` and ``Binomial.from_vector`` are one-vector calls
 of the unchecked batch builder behind ``_gale_binomials``, so each
 result must also pass the public constructor's checks, and a batch must
@@ -24,10 +26,17 @@ from galerobust import (
     fan_hilbert_union,
     reduce_configuration,
 )
-from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_fan_half_turn
+from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_half_turn
 from galerobust.toric import _gale_binomials, binomial_from_gale
 
-from conftest import assert_half_turn_of, reference_binomial, reference_fan_union
+from conftest import (
+    assert_half_turn_of,
+    full_turn,
+    reference_binomial,
+    reference_fan_union,
+    reference_half_turn,
+    reference_symmetric_directions,
+)
 
 
 @st.composite
@@ -80,17 +89,20 @@ def _outcome(fn, arg):
 @given(_fan_configurations())
 def test_fan_unions_equal_sorted_assembly(b):
     reduced = reduce_configuration(b)
-    assert _outcome(fan_hilbert_union, reduced) == _outcome(
-        reference_fan_union, reduced.distinct_directions()
-    )
+    union = _outcome(fan_hilbert_union, reduced)
+    assert union == _outcome(reference_fan_union, reduced.distinct_directions())
+    if isinstance(union, str):
+        # The half-turn is read off the plain union, so only it can fail.
+        return
     dirs = _symmetric_directions(reduced)
-    half = _outcome(symmetrized_fan_half_turn, reduced)
-    expected = _outcome(reference_fan_union, dirs)
-    if isinstance(expected, str):
-        assert half == expected
-    else:
-        assert tuple(_fan_cones(dirs)) == expected.cones
-        assert_half_turn_of(half, expected)
+    assert dirs == reference_symmetric_directions(reduced)
+    expected = reference_fan_union(dirs)
+    assert tuple(_fan_cones(dirs)) == expected.cones
+    half = symmetrized_half_turn(union)
+    assert_half_turn_of(half, expected)
+    walked = reference_half_turn(reduced)
+    assert len(half) == len(walked)
+    assert set(full_turn(half)) == set(full_turn(walked))
 
 
 @settings(max_examples=300, deadline=None)

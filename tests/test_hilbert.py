@@ -16,7 +16,7 @@ from galerobust import (
     symmetric_core,
 )
 from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
-from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_fan_half_turn
+from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_half_turn
 from galerobust.planar import cross
 
 from conftest import (
@@ -27,6 +27,8 @@ from conftest import (
     hilbert_basis_visible,
     primitive,
     reference_fan_union,
+    reference_half_turn,
+    reference_symmetric_directions,
 )
 
 
@@ -261,6 +263,10 @@ def test_fan_union_rejects_half_plane():
         fan_hilbert_union(reduced)
 
 
+def _half_turn(reduced):
+    return symmetrized_half_turn(fan_hilbert_union(reduced))
+
+
 def test_fan_cones_equal_checked_cones():
     # The fan builds its cones without Cone2D's checks; they must still be
     # the cones the checking constructor gives, and non-primitive rows of a
@@ -273,7 +279,7 @@ def test_fan_cones_equal_checked_cones():
     bad = ReducedGaleConfiguration(
         rows=((2, 0), (0, 1), (-1, -1)), index_map=(0, 1, 2), angular_order=(0, 1, 2)
     )
-    for build in (fan_hilbert_union, symmetrized_fan_half_turn, fan_radius_bound):
+    for build in (fan_hilbert_union, _half_turn, fan_radius_bound):
         with pytest.raises(ValueError, match="primitive"):
             build(bad)
 
@@ -284,9 +290,11 @@ def _reduced(rows):
 
 
 def _assert_unions_match_reference(reduced):
-    assert fan_hilbert_union(reduced) == reference_fan_union(reduced.distinct_directions())
+    union = fan_hilbert_union(reduced)
+    assert union == reference_fan_union(reduced.distinct_directions())
     assert_half_turn_of(
-        symmetrized_fan_half_turn(reduced), reference_fan_union(_symmetric_directions(reduced))
+        symmetrized_half_turn(union),
+        reference_fan_union(reference_symmetric_directions(reduced)),
     )
 
 
@@ -326,16 +334,17 @@ def test_symmetrized_fan_contains_plain_union():
     for m in random_valid_instances(12, seed=rng.randint(0, 10**6)):
         reduced = reduce_configuration(gale_transform(m))
         plain = set(fan_hilbert_union(reduced).vectors)
-        half = symmetrized_fan_half_turn(reduced)
+        half = _half_turn(reduced)
         sym = set(full_turn(half))
         assert plain <= sym
         assert len(sym) == 2 * len(half)
+        assert sym == set(full_turn(reference_half_turn(reduced)))
 
 
 def test_fan_radius_bound_covers_union(example_matrix):
     reduced = reduce_configuration(gale_transform(example_matrix))
     bound = fan_radius_bound(reduced)
-    for v in full_turn(symmetrized_fan_half_turn(reduced)):
+    for v in full_turn(_half_turn(reduced)):
         assert max(abs(v[0]), abs(v[1])) <= bound
     # Rows on one line leave two directions: the fan's own error.
     line = ReducedGaleConfiguration(

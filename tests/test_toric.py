@@ -23,7 +23,13 @@ from galerobust import (
 from galerobust import toric
 from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
 
-from conftest import EXAMPLE_BINOMIALS, full_turn, random_valid_instances, reference_binomials
+from conftest import (
+    EXAMPLE_BINOMIALS,
+    full_turn,
+    random_valid_instances,
+    reference_binomials,
+    reference_half_turn,
+)
 
 
 def as_pairs(bins):
@@ -250,10 +256,11 @@ def test_render_styles():
 
 def test_pair_binomials_match_reference(acceptance_suite):
     # One Graver binomial per half-turn vector, each built from one side
-    # of its +/- pair; the reference builds every vector of the union.
+    # of its +/- pair; the reference builds every vector of the union,
+    # walked cone by cone on the symmetrized fan.
     for a in acceptance_suite:
         report = is_strongly_robust(a)
-        half = toric.symmetrized_fan_half_turn(report.reduced)
+        half = reference_half_turn(report.reduced)
         assert report.graver == reference_binomials(report.gale, full_turn(half))
         assert len(report.graver) == len(half)
         assert report.indispensable == reference_binomials(report.gale, report.h_core)
@@ -264,18 +271,49 @@ def test_pair_binomials_match_reference(acceptance_suite):
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
 def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatch):
     a = request.getfixturevalue(name)
-    real = toric.symmetrized_fan_half_turn
+    real = toric.symmetrized_half_turn
 
-    def half_turn_without_a_core_pair(config):
-        half = real(config)
-        u = toric.symmetric_core(toric.fan_hilbert_union(config))[0]
+    def half_turn_without_a_core_pair(union):
+        half = real(union)
+        u = toric.symmetric_core(union)[0]
         pair = {u, (-u[0], -u[1])}
         assert len(pair & set(half)) == 1
         return [v for v in half if v not in pair]
 
-    monkeypatch.setattr(toric, "symmetrized_fan_half_turn", half_turn_without_a_core_pair)
+    monkeypatch.setattr(toric, "symmetrized_half_turn", half_turn_without_a_core_pair)
     with pytest.raises(ConsistencyError):
         toric.is_strongly_robust(a)
+
+
+def test_graver_element_from_a_gap_walk():
+    # A = [1 1 2]: x1*x2 - x3 comes from a vector of the symmetrized fan
+    # that is in neither the plain union nor its negation, so only the
+    # walk across a gap of determinant > 1 finds it.
+    from galerobust import (
+        SHELL_WIDTH,
+        fan_radius_bound,
+        graver_bruteforce,
+        is_indispensable_oracle,
+    )
+
+    report = is_strongly_robust(IntegerMatrix([[1, 1, 2]]))
+    b, plain = report.gale, set(report.h_union.vectors)
+    graver = {"x1 - x2", "x1^2 - x3", "x2^2 - x3", "x1*x2 - x3"}
+    assert {render_binomial(g) for g in report.graver} == graver
+    assert {render_binomial(g) for g in report.indispensable} == {"x1 - x2"}
+    assert not report.strongly_robust
+    walked = [
+        u for u in toric.symmetrized_half_turn(report.h_union)
+        if render_binomial(binomial_from_gale(b, u)) == "x1*x2 - x3"
+    ]
+    assert len(walked) == 1
+    u = walked[0]
+    assert u not in plain and (-u[0], -u[1]) not in plain
+    radius = fan_radius_bound(report.reduced) + SHELL_WIDTH
+    assert graver_bruteforce(b, radius) == report.graver
+    assert report.indispensable == frozenset(
+        g for g in report.graver if is_indispensable_oracle(b, g)
+    )
 
 
 @pytest.mark.parametrize(
