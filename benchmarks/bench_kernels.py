@@ -22,7 +22,13 @@ per half-turn vector), and the median microseconds per Graver element
 (best of N) of the fiber oracle ``is_indispensable_oracle``.  Last, the median wall milliseconds
 of ``python -m galerobust <cmd>`` on ``tests/data/example_4x6.mat`` for
 each subcommand, over CLI_RUNS fresh processes: start-up and imports
-included, since a subcommand loads only the modules it runs.
+included, since a subcommand loads only the modules it runs.  Two floor
+rows come first, a bare ``python -c pass`` and ``import galerobust.cli``.
+Every process runs with PYTHONDONTWRITEBYTECODE=1, and the table header
+says whether ``src/galerobust/__pycache__`` exists: without it each
+process compiles the modules it imports.  For that case, run the script
+itself with PYTHONDONTWRITEBYTECODE=1 in a tree with no ``__pycache__``,
+so that its own imports leave none behind.
 """
 
 import argparse
@@ -203,24 +209,31 @@ CLI_COMMANDS = ("check", "graver", "indispensable", "markov", "bouquets", "gale"
 
 def bench_cli():
     example = Path(__file__).resolve().parent.parent / "tests" / "data" / "example_4x6.mat"
-    env = dict(os.environ)
-    src = str(Path(galerobust.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    print(f"python -m galerobust <cmd> {example.name}: median of {CLI_RUNS} processes")
-    times = {cmd: [] for cmd in CLI_COMMANDS}
+    package = Path(galerobust.__file__).resolve().parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    cached = "present" if (package / "__pycache__").is_dir() else "absent"
+    print(f"python -m galerobust <cmd> {example.name}: median of {CLI_RUNS} processes;")
+    print(f"PYTHONDONTWRITEBYTECODE=1, src/galerobust/__pycache__ {cached}")
     with tempfile.TemporaryDirectory() as tmp:
-        # Round-robin over the commands, so that a drift in machine speed
-        # shifts every command alike.
+        out = os.path.join(tmp, "out")
+        rows = {
+            "python -c pass": ["-c", "pass"],
+            "import galerobust.cli": ["-c", "import galerobust.cli"],
+        }
+        for cmd in CLI_COMMANDS:
+            rows[cmd] = ["-m", "galerobust", cmd, str(example), "--out", out]
+        times = {name: [] for name in rows}
+        # Round-robin over the rows, so that a drift in machine speed
+        # shifts every row alike.
         for _ in range(CLI_RUNS):
-            for cmd in CLI_COMMANDS:
-                argv = [sys.executable, "-m", "galerobust", cmd, str(example)]
-                argv += ["--out", os.path.join(tmp, "out")]
+            for name, args in rows.items():
                 t0 = time.perf_counter()
-                subprocess.run(argv, env=env, capture_output=True, check=True)
-                times[cmd].append(time.perf_counter() - t0)
-    print(f"{'command':<14} {'median (ms)':>12}")
-    for cmd, ts in times.items():
-        print(f"{cmd:<14} {statistics.median(ts) * 1e3:>12.1f}")
+                subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+                times[name].append(time.perf_counter() - t0)
+    print(f"{'command':<22} {'median (ms)':>12}")
+    for name, ts in times.items():
+        print(f"{name:<22} {statistics.median(ts) * 1e3:>12.1f}")
 
 
 def main():

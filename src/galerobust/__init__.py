@@ -45,26 +45,21 @@ _HOMES = {
     ),
     "intlinalg": (
         "IntegerMatrix",
-        "determinant",
         "kernel_lattice_basis",
         "rank",
     ),
     "oracle": (
         "SHELL_WIDTH",
-        "FiberEnumeration",
-        "enumerate_fiber",
         "graver_bruteforce",
         "is_indispensable_oracle",
     ),
     "toric": (
         "Binomial",
         "RobustnessReport",
-        "binomial_from_gale",
         "centrally_symmetric_hull",
         "graver_basis",
         "indispensable_set",
         "is_strongly_robust",
-        "lawrence_lifting",
         "markov_basis",
         "render_binomial",
     ),

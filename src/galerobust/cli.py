@@ -19,13 +19,15 @@ followed by their own keys of the report document:
 
 A subcommand imports only the modules it runs: the fan pipeline
 (``toric``, ``hilbert``) and ``svgplot`` are imported inside the commands
-that use them, so ``gale`` and ``bouquets`` never load them.
+that use them, so ``gale`` and ``bouquets`` never load them, and
+``oracle`` is imported only on the oracle paths (the ``oracle``
+subcommand and ``--oracle``).  ``json`` is imported only to read
+``--json`` input or to quote a string that is not plain printable ASCII.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
@@ -36,7 +38,6 @@ from .errors import GaleRobustError
 from .gale import bouquets, gale_transform, is_positively_graded, reduce_configuration
 from .intlinalg import IntegerMatrix
 from .matrixio import load_matrix
-from .oracle import SHELL_WIDTH, graver_bruteforce, is_indispensable_oracle
 
 if TYPE_CHECKING:
     from .toric import RobustnessReport
@@ -109,7 +110,12 @@ def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) 
 
 
 def _compact_json(value, indent: int = 0) -> str:
-    """json.dumps with indent, except lists of ints stay on one line."""
+    """The text of json.dumps with indent, except lists of ints stay on one line.
+
+    Scalars are written here: true, false, null, ints, and strings of
+    printable ASCII without a quote or a backslash, which need no escape.
+    Any other value goes to json.dumps, imported only then.
+    """
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -125,6 +131,22 @@ def _compact_json(value, indent: int = 0) -> str:
             return "[" + ", ".join(str(x) for x in value) + "]"
         items = [f"{pad}  {_compact_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool):  # before int: True is an int
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return str(value)
+    if (
+        isinstance(value, str)
+        and value.isascii()
+        and value.isprintable()
+        and '"' not in value
+        and "\\" not in value
+    ):
+        return f'"{value}"'
+    import json
+
     return json.dumps(value)
 
 
@@ -140,10 +162,11 @@ def _emit(doc, out_path: str | None) -> None:
 def _run_oracle_comparison(
     report: RobustnessReport, radius: int | None, letters: bool
 ) -> dict:
+    from .hilbert import fan_radius_bound
+    from .oracle import SHELL_WIDTH, graver_bruteforce, is_indispensable_oracle
+
     b = report.gale
     if radius is None:
-        from .hilbert import fan_radius_bound
-
         radius = fan_radius_bound(report.reduced) + SHELL_WIDTH
     # A warning is one stderr line, like the errors; the filters in force
     # are kept and restored.

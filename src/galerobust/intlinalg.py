@@ -182,14 +182,6 @@ def rank(m: IntegerMatrix) -> int:
     return len(_bareiss_forward(list(m.rows), m.ncols)[0])
 
 
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant: the last pivot of the fraction-free elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant requires a square matrix")
-    pivots, _, d = _bareiss_forward(list(m.rows), m.ncols)
-    return d if len(pivots) == m.nrows else 0
-
-
 def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
     """Canonical basis of the column lattice of M, as matrix columns.
 

@@ -10,8 +10,6 @@ with a "matrix" key.
 
 from __future__ import annotations
 
-import json
-
 from .errors import MatrixFormatError
 from .intlinalg import IntegerMatrix
 
@@ -47,6 +45,9 @@ def parse_matrix_text(text: str) -> IntegerMatrix:
 
 
 def parse_matrix_json(text: str) -> IntegerMatrix:
+    # Imported here, so that reading the text format never loads json.
+    import json
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, digit limit, deep nesting

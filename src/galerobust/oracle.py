@@ -17,9 +17,7 @@ from __future__ import annotations
 import warnings
 from itertools import combinations, count, islice
 from math import gcd
-from operator import index
 
-from ._value import _Value
 from .errors import GradingError, ShellWarning
 from .gale import GaleConfiguration, _lagrange_reduced_columns, is_positively_graded
 from .intlinalg import _trusted_matrix
@@ -27,16 +25,6 @@ from .planar import cross
 
 #: Width of the safety margin checked at the edge of the scan box.
 SHELL_WIDTH = 2
-
-
-class FiberEnumeration(_Value):
-    """All nonnegative vectors sharing the image A @ target."""
-
-    __slots__ = ("target", "points")
-
-    def __init__(self, target: tuple[int, ...], points: frozenset[tuple[int, ...]]):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "points", points)
 
 
 def _column_span(rows, cs) -> range | None:
@@ -85,17 +73,6 @@ def _fiber_walk(b: GaleConfiguration, v: tuple[int, ...]):
                 break
             for a2 in span:
                 yield tuple(c - q * a2 for c, (_, q) in zip(cs, rows))
-
-
-def enumerate_fiber(b: GaleConfiguration, v) -> FiberEnumeration:
-    """Fiber of a nonnegative vector v, via the kernel parametrization.
-
-    Every fiber element is v - B alpha for a unique integer alpha with
-    B alpha <= v componentwise: a lattice point of that polygon, found by
-    walking its columns.  Raises GradingError for ungraded configurations.
-    """
-    vt = tuple(map(index, v))
-    return FiberEnumeration(target=vt, points=frozenset(_fiber_walk(b, vt)))
 
 
 def is_indispensable_oracle(b: GaleConfiguration, binomial) -> bool:

@@ -42,11 +42,10 @@ class Binomial(_Value):
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
     representative per sign pair).  The public constructor stores both
-    parts as int tuples and checks them all.  ``from_vector`` and
-    ``binomial_from_gale`` check only that their input is a nonzero
-    integer vector; they split it into parts that meet every invariant
-    by construction and skip the other checks.  Binomials are ordered
-    by (plus, minus).
+    parts as int tuples and checks them all.  ``_trusted_binomials``
+    splits nonzero int vectors into parts that meet every invariant by
+    construction and skips the checks.  Binomials are ordered by
+    (plus, minus).
     """
 
     __slots__ = ("plus", "minus")
@@ -70,14 +69,6 @@ class Binomial(_Value):
         if other.__class__ is self.__class__:
             return (self.plus, self.minus) < (other.plus, other.minus)
         return NotImplemented
-
-    @classmethod
-    def from_vector(cls, z) -> "Binomial":
-        """Canonical binomial of a nonzero integer vector (sign chosen here)."""
-        coords = [[index(x)] for x in z]
-        if not coords:
-            raise ValueError("zero vector yields no binomial")
-        return _trusted_binomials(coords)[0]
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -132,26 +123,6 @@ def render_binomial(b: Binomial, letters: bool = False) -> str:
         return "*".join(parts) if parts else "1"
 
     return f"{monomial(b.plus)} - {monomial(b.minus)}"
-
-
-def lawrence_lifting(a: IntegerMatrix) -> IntegerMatrix:
-    """Block matrix [[A, 0], [I, I]] whose kernel pairs u with -u."""
-    n = a.ncols
-    rows = [list(r) + [0] * n for r in a.rows]
-    for i in range(n):
-        ident = [0] * (2 * n)
-        ident[i] = 1
-        ident[n + i] = 1
-        rows.append(ident)
-    return IntegerMatrix(rows)
-
-
-def binomial_from_gale(b: GaleConfiguration, u) -> Binomial:
-    """Binomial of the kernel vector B u, in canonical sign."""
-    x, y = index(u[0]), index(u[1])
-    if x == 0 and y == 0:
-        raise ValueError("u must be nonzero")
-    return _gale_binomials(b, [(x, y)])[0]
 
 
 def _gale_binomials(b: GaleConfiguration, us: list[Vec2]) -> list[Binomial]:

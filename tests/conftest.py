@@ -1,9 +1,11 @@
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 from math import gcd
+from operator import index
 from pathlib import Path
 
 import pytest
@@ -19,10 +21,13 @@ from galerobust import (
     is_positively_graded,
     rank,
 )
+from galerobust._value import _Value
 from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
-from galerobust.intlinalg import _xgcd, column_hnf
+from galerobust.intlinalg import _bareiss_forward, _xgcd, column_hnf
+from galerobust.oracle import _fiber_walk
 from galerobust.planar import _ZERO_VECTOR, angle_cmp, convex_hull, cross
+from galerobust.toric import _gale_binomials, _trusted_binomials
 
 DATA = Path(__file__).parent / "data"
 
@@ -158,6 +163,16 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     return IntegerMatrix(h), IntegerMatrix(u)
 
 
+def determinant(m: IntegerMatrix) -> int:
+    """Exact determinant: the last pivot of the package's fraction-free
+    elimination, which is the determinant for a square input of full rank.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("determinant requires a square matrix")
+    pivots, _, d = _bareiss_forward(list(m.rows), m.ncols)
+    return d if len(pivots) == m.nrows else 0
+
+
 def reference_rank(m: IntegerMatrix) -> int:
     """Rank as the number of nonzero rows of the Hermite normal form."""
     h, _ = hermite_normal_form(m)
@@ -267,6 +282,35 @@ def reference_binomial(z) -> Binomial:
     return Binomial(plus=plus, minus=minus)
 
 
+def binomial_from_vector(z) -> Binomial:
+    """Canonical binomial of a nonzero integer vector, by the package's
+    unchecked batch builder on a batch of one."""
+    coords = [[index(x)] for x in z]
+    if not coords:
+        raise ValueError("zero vector yields no binomial")
+    return _trusted_binomials(coords)[0]
+
+
+def binomial_from_gale(b, u) -> Binomial:
+    """Binomial of the kernel vector B u, in canonical sign."""
+    x, y = index(u[0]), index(u[1])
+    if x == 0 and y == 0:
+        raise ValueError("u must be nonzero")
+    return _gale_binomials(b, [(x, y)])[0]
+
+
+def lawrence_lifting(a: IntegerMatrix) -> IntegerMatrix:
+    """Block matrix [[A, 0], [I, I]] whose kernel pairs u with -u."""
+    n = a.ncols
+    rows = [list(r) + [0] * n for r in a.rows]
+    for i in range(n):
+        ident = [0] * (2 * n)
+        ident[i] = 1
+        ident[n + i] = 1
+        rows.append(ident)
+    return IntegerMatrix(rows)
+
+
 def reference_binomials(b, vectors) -> frozenset[Binomial]:
     """One checked Binomial per fan vector, u and -u each built apart."""
     return frozenset(reference_binomial(b.kernel_vector(tuple(u))) for u in vectors)
@@ -308,6 +352,27 @@ def reference_box_scan(rows, radius: int) -> list[tuple[int, int]]:
             accepted_vals.append((zp, zm))
             accepted_u.append((u1, u2))
     return accepted_u
+
+
+class FiberEnumeration(_Value):
+    """All nonnegative vectors sharing the image A @ target."""
+
+    __slots__ = ("target", "points")
+
+    def __init__(self, target: tuple[int, ...], points: frozenset[tuple[int, ...]]):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "points", points)
+
+
+def enumerate_fiber(b, v) -> FiberEnumeration:
+    """Fiber of a nonnegative vector v, by the oracle's column walk.
+
+    Every fiber element is v - B alpha for a unique integer alpha with
+    B alpha <= v componentwise: a lattice point of that polygon.  Raises
+    GradingError for ungraded configurations.
+    """
+    vt = tuple(map(index, v))
+    return FiberEnumeration(target=vt, points=frozenset(_fiber_walk(b, vt)))
 
 
 def reference_enumerate_fiber(b, v) -> frozenset[tuple[int, ...]]:
@@ -503,3 +568,24 @@ def hilbert_basis_visible(cone):
         if cross((w[0] - u[0], w[1] - u[1]), (-u[0], -u[1])) < 0:
             out.update(segment_lattice_points(u, w))
     return tuple(_ccw_in_cone(out))
+
+
+def reference_compact_json(value, indent: int = 0) -> str:
+    """The CLI's document writer as it was with every scalar by json.dumps:
+    indented like json.dumps, with lists of ints on one line."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f'{pad}  "{k}": {reference_compact_json(v, indent + 1)}' for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if all(isinstance(x, int) and not isinstance(x, bool) for x in value):
+            return "[" + ", ".join(str(x) for x in value) + "]"
+        items = [f"{pad}  {reference_compact_json(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return json.dumps(value)

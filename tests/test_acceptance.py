@@ -14,7 +14,6 @@ from galerobust import (
     Binomial,
     Cone2D,
     IntegerMatrix,
-    binomial_from_gale,
     fan_radius_bound,
     gale_transform,
     graver_basis,
@@ -23,7 +22,6 @@ from galerobust import (
     indispensable_set,
     is_indispensable_oracle,
     is_strongly_robust,
-    lawrence_lifting,
     rank,
     reduce_configuration,
 )
@@ -34,7 +32,10 @@ from conftest import (
     DATA,
     EXAMPLE_BINOMIALS,
     EXAMPLE_REDUCED_ROWS,
+    binomial_from_gale,
+    binomial_from_vector,
     hilbert_basis_visible,
+    lawrence_lifting,
     primitive,
 )
 
@@ -55,7 +56,7 @@ def _default_radius(m: IntegerMatrix) -> int:
 
 def _project_first_half(binom: Binomial, n: int) -> Binomial:
     z = tuple(p - q for p, q in zip(binom.plus[:n], binom.minus[:n]))
-    return Binomial.from_vector(z)
+    return binomial_from_vector(z)
 
 
 def test_criterion_1_example_end_to_end(example_matrix):

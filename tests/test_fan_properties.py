@@ -8,8 +8,8 @@ texts.  The symmetrized fan must build the same cones over the same
 directions, and the half-turn read off the plain union must be one half
 of its reference union, in counterclockwise order, with the ± pairs of
 the half-turn walked cone by cone (``reference_half_turn``).
-``binomial_from_gale`` and ``Binomial.from_vector`` are one-vector calls
-of the unchecked batch builder behind ``_gale_binomials``, so each
+``binomial_from_gale`` and ``binomial_from_vector`` (in conftest) are
+one-vector calls of the unchecked batch builder behind ``_gale_binomials``, so each
 result must also pass the public constructor's checks, and a batch must
 equal the per-vector reference (``reference_binomial`` in conftest),
 checked by that constructor, in order.
@@ -27,10 +27,12 @@ from galerobust import (
     reduce_configuration,
 )
 from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_half_turn
-from galerobust.toric import _gale_binomials, binomial_from_gale
+from galerobust.toric import _gale_binomials
 
 from conftest import (
     assert_half_turn_of,
+    binomial_from_gale,
+    binomial_from_vector,
     full_turn,
     reference_binomial,
     reference_fan_union,
@@ -111,12 +113,12 @@ def test_binomial_from_gale_equals_from_vector(b, u):
     z = b.kernel_vector(u)
     if not any(z):
         # Rows on one line: u can lie in the kernel of B.
-        for build in (lambda: binomial_from_gale(b, u), lambda: Binomial.from_vector(z)):
+        for build in (lambda: binomial_from_gale(b, u), lambda: binomial_from_vector(z)):
             with pytest.raises(ValueError, match="zero vector"):
                 build()
         return
     built = binomial_from_gale(b, u)
-    assert built == Binomial.from_vector(z)
+    assert built == binomial_from_vector(z)
     assert Binomial(plus=built.plus, minus=built.minus) == built
 
 

@@ -2,7 +2,8 @@
 
 This session has already imported the whole package, so every check
 runs in a fresh interpreter, with the package found where this session
-found it.
+found it.  Only the oracle paths load ``oracle``, and a run on a text
+matrix file loads no ``json``.
 """
 
 import json
@@ -23,6 +24,7 @@ EXAMPLE_FILE = str(DATA / "example_4x6.mat")
 
 FAN = {"galerobust.toric", "galerobust.hilbert"}
 PLOT = {"galerobust.svgplot"}
+ORACLE = {"galerobust.oracle"}
 # The package is flat: one module per source file, no subpackage (the
 # oracle's box scan is plain Python in ``oracle``, with no backend).
 OWN = {"galerobust"} | {f"galerobust.{p.stem}" for p in PACKAGE.glob("*.py")}
@@ -67,11 +69,11 @@ def bare_modules() -> set:
 @pytest.mark.parametrize(
     "cmd, absent",
     [
-        ("gale", FAN | PLOT),
-        ("bouquets", FAN | PLOT),
-        ("check", PLOT),
-        ("graver", PLOT),
-        ("markov", PLOT),
+        ("gale", FAN | PLOT | ORACLE),
+        ("bouquets", FAN | PLOT | ORACLE),
+        ("check", PLOT | ORACLE),
+        ("graver", PLOT | ORACLE),
+        ("markov", PLOT | ORACLE),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, cmd, absent):
@@ -80,16 +82,39 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, cmd, absent)
     assert not {m for m in loaded for a in absent if m == a or m.startswith(a + ".")}
     assert {m for m in loaded if m.startswith("galerobust.")} <= OWN
     assert not (HEAVY_STDLIB - bare_modules) & loaded
-    if cmd in ("gale", "bouquets"):
-        assert "galerobust.oracle" in loaded  # its names are bound in cli
 
 
 def test_oracle_loads_toric_not_fractions(tmp_path, bare_modules):
     loaded = modules_after(["oracle", EXAMPLE_FILE, "--out", str(tmp_path / "out.json")])
     assert "galerobust.toric" in loaded and "fractions" not in loaded
+    assert "galerobust.oracle" in loaded
     assert {m for m in loaded if m.startswith("galerobust.")} <= OWN
     assert not [p for p in PACKAGE.iterdir() if p.is_dir() and p.name != "__pycache__"]
     assert not (HEAVY_STDLIB - bare_modules) & loaded
+
+
+def test_oracle_flag_loads_oracle(tmp_path):
+    loaded = modules_after(
+        ["graver", EXAMPLE_FILE, "--oracle", "--out", str(tmp_path / "out.json")]
+    )
+    assert "galerobust.oracle" in loaded
+
+
+@pytest.mark.parametrize("argv", [["check"], ["bouquets"], ["markov", "--letters"]])
+def test_text_input_run_loads_neither_json_nor_oracle(argv):
+    # The harness itself imports no json: the document goes to stdout, and
+    # the module names follow on one last line.
+    code = (
+        "import sys\n"
+        "from galerobust.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, *sorted(m for m in sys.modules if m in ('json', 'galerobust.oracle')))\n"
+    )
+    stdout = fresh_python(code, argv[0], EXAMPLE_FILE, *argv[1:])
+    document, last = stdout.rsplit("\n", 2)[:2]
+    assert json.loads(document)["version"] == galerobust.__version__
+    rc, *loaded = last.split()
+    assert rc in ("0", "1") and loaded == []
 
 
 def test_public_names_resolve_lazily():

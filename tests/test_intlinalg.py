@@ -6,13 +6,12 @@ import pytest
 
 from galerobust import (
     IntegerMatrix,
-    determinant,
     kernel_lattice_basis,
     rank,
 )
 from galerobust.intlinalg import column_hnf
 
-from conftest import EXAMPLE_A, hermite_normal_form, lattices_equal, reference_kernel
+from conftest import EXAMPLE_A, determinant, hermite_normal_form, lattices_equal, reference_kernel
 
 
 def test_constructor_rejects_bad_input():

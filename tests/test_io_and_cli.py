@@ -9,16 +9,24 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from galerobust import IntegerMatrix, MatrixFormatError
-from galerobust.cli import main
+from galerobust import IntegerMatrix, MatrixFormatError, render_binomial
+from galerobust.cli import _compact_json, main
 from galerobust.matrixio import (
     format_matrix,
     parse_matrix_json,
     parse_matrix_text,
 )
 
-from conftest import DATA, EXAMPLE_A, random_valid_instances
+from conftest import (
+    DATA,
+    EXAMPLE_A,
+    binomial_from_vector,
+    random_valid_instances,
+    reference_compact_json,
+)
 
 EXAMPLE_FILE = str(DATA / "example_4x6.mat")
 CUBIC_FILE = str(DATA / "twisted_cubic.mat")
@@ -159,6 +167,25 @@ def test_non_utf8_file_exit_two(tmp_path, capsys, argv):
     assert "UTF-8" in captured.err
 
 
+def _json_error_line(text: str) -> str:
+    """The one stderr line of a --json run on text that json.loads rejects."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return f"error: MatrixFormatError: invalid JSON: {exc}\n"
+    raise AssertionError("json.loads accepted the text")
+
+
+def test_json_syntax_error_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[[1, 2")
+    rc = main(["gale", "--json", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == _json_error_line("[[1, 2")
+
+
 def test_json_integer_past_digit_limit_exit_two(tmp_path, capsys):
     # json.loads raises a plain ValueError past the interpreter's
     # 4300-digit limit for int conversion.
@@ -168,8 +195,7 @@ def test_json_integer_past_digit_limit_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: MatrixFormatError: invalid JSON: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == _json_error_line(big.read_text())
 
 
 def test_json_nesting_past_recursion_limit_exit_two(tmp_path, capsys):
@@ -180,8 +206,7 @@ def test_json_nesting_past_recursion_limit_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: MatrixFormatError: invalid JSON: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == _json_error_line(deep.read_text())
 
 
 def test_check_missing_file_exit_two(capsys):
@@ -408,3 +433,41 @@ def test_subcommand_output_digest(digest_inputs, form):
         if rc == 2:
             h.update(f"{err.getvalue()}\0".encode())
     assert h.hexdigest() == CLI_DIGESTS[form]
+
+
+# ------------------------------------------------------- document writer
+
+
+@st.composite
+def _rendered_binomials(draw):
+    z = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=30).filter(any))
+    return render_binomial(binomial_from_vector(z), draw(st.booleans()))
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(2**70), 2**70),
+    _rendered_binomials(),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)),
+    # Quotes, backslashes, control characters, DEL, non-ASCII and
+    # non-BMP characters take json.dumps's escapes.
+    st.text(),
+    st.sampled_from(['a"b', "a\\b", "line\nbreak", "\x7f", "caf\u00e9", "\U0001d53e"]),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(st.one_of(st.integers(-(2**70), 2**70), st.booleans()), max_size=6),
+        st.dictionaries(st.text("abcdefghij_", min_size=1, max_size=8), kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DOCUMENTS)
+def test_document_writer_matches_json_dumps_reference(doc):
+    assert _compact_json(doc) == reference_compact_json(doc)

@@ -8,8 +8,9 @@ operations on A, which keep its kernel.  Kernels of wide sparse
 matrices A = ker(B^T)^T must be saturated, the Gram-matrix Lagrange
 reduction must return what the vector form (``reference_lagrange``)
 does, and the Gale rows of a fixed set of dense matrices must hash to a
-recorded digest.  ``Binomial.from_vector`` skips the constructor's
-checks, so every binomial it builds must pass them.
+recorded digest.  ``binomial_from_vector`` (in conftest) runs the
+unchecked batch builder, so every binomial it builds must pass the
+constructor's checks.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from galerobust import (
 )
 from galerobust.gale import _lagrange_reduced_columns
 
-from conftest import reference_kernel, reference_lagrange, reference_rank
+from conftest import binomial_from_vector, reference_kernel, reference_lagrange, reference_rank
 
 
 @st.composite
@@ -115,7 +116,7 @@ def test_gale_rows_invariant_under_unimodular_row_operations(case):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8).filter(any))
 def test_trusted_binomial_passes_validation(z):
-    b = Binomial.from_vector(z)
+    b = binomial_from_vector(z)
     assert Binomial(plus=b.plus, minus=b.minus) == b
     assert b.vector in (tuple(z), tuple(-x for x in z))
 

@@ -8,7 +8,6 @@ from galerobust import (
     GaleConfiguration,
     GradingError,
     ShellWarning,
-    enumerate_fiber,
     fan_radius_bound,
     gale_transform,
     graver_basis,
@@ -19,9 +18,15 @@ from galerobust import (
     reduce_configuration,
 )
 from galerobust.oracle import SHELL_WIDTH, _box_scan, _column_span
-from galerobust.toric import Binomial, binomial_from_gale
+from galerobust.toric import Binomial
 
-from conftest import random_valid_instances, reference_box_scan, reference_enumerate_fiber
+from conftest import (
+    binomial_from_gale,
+    enumerate_fiber,
+    random_valid_instances,
+    reference_box_scan,
+    reference_enumerate_fiber,
+)
 
 
 def default_radius(m):

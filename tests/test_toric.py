@@ -9,13 +9,11 @@ from galerobust import (
     IntegerMatrix,
     RankError,
     ZeroRowError,
-    binomial_from_gale,
     centrally_symmetric_hull,
     gale_transform,
     graver_basis,
     indispensable_set,
     is_strongly_robust,
-    lawrence_lifting,
     markov_basis,
     reduce_configuration,
     render_binomial,
@@ -25,7 +23,10 @@ from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
 
 from conftest import (
     EXAMPLE_BINOMIALS,
+    binomial_from_gale,
+    binomial_from_vector,
     full_turn,
+    lawrence_lifting,
     random_valid_instances,
     reference_binomials,
     reference_half_turn,
@@ -50,8 +51,8 @@ def test_binomial_validation():
 
 def test_from_vector_canonical_sign():
     z = (3, -1, -3, -1, 1, 2)
-    b1 = Binomial.from_vector(z)
-    b2 = Binomial.from_vector(tuple(-x for x in z))
+    b1 = binomial_from_vector(z)
+    b2 = binomial_from_vector(tuple(-x for x in z))
     assert b1 == b2
     assert b1.plus == (3, 0, 0, 0, 1, 2)
     assert b1.minus == (0, 1, 3, 1, 0, 0)
@@ -62,7 +63,7 @@ def test_from_vector_rejects_the_empty_vector():
     # The empty vector is the zero vector of length 0: no coordinate
     # lists, so the batch builder alone would return no binomial at all.
     with pytest.raises(ValueError, match="zero vector yields no binomial"):
-        Binomial.from_vector(())
+        binomial_from_vector(())
 
 
 def test_binomial_from_gale_point(example_matrix):

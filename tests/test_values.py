@@ -1,4 +1,5 @@
-"""Value semantics of the public record types.
+"""Value semantics of the public record types, and of ``FiberEnumeration``
+(a reference in conftest on the same base class).
 
 Each is immutable, compares and hashes by its fields (all of them but
 the provenance fields ``source``, ``gale`` and ``reduced``), prints as
@@ -14,7 +15,6 @@ from galerobust import (
     Binomial,
     Bouquet,
     Cone2D,
-    FiberEnumeration,
     GaleConfiguration,
     HilbertBasisSet,
     IntegerMatrix,
@@ -22,13 +22,19 @@ from galerobust import (
     RobustnessReport,
     gale_transform,
     is_strongly_robust,
-    binomial_from_gale,
     centrally_symmetric_hull,
-    enumerate_fiber,
     reduce_configuration,
 )
 
-from conftest import EXAMPLE_A, EXAMPLE_GALE_ROWS, TWISTED_CUBIC
+from conftest import (
+    EXAMPLE_A,
+    EXAMPLE_GALE_ROWS,
+    TWISTED_CUBIC,
+    FiberEnumeration,
+    binomial_from_gale,
+    binomial_from_vector,
+    enumerate_fiber,
+)
 
 GALE_ROWS = ((1, 2), (-2, 1), (-1, -2))
 
@@ -150,7 +156,7 @@ def test_binomial_constructor_stores_int_tuples():
     "build",
     [
         lambda: Binomial([1.5, 0], [0, 1]),
-        lambda: Binomial.from_vector([1.5, -1]),
+        lambda: binomial_from_vector([1.5, -1]),
         lambda: binomial_from_gale(GaleConfiguration(EXAMPLE_GALE_ROWS), (1.5, 0)),
         lambda: Cone2D((1.5, 0), (0, 1)),
         lambda: GaleConfiguration(((2.5, 1), (-1, 1), (-1, -2))),
