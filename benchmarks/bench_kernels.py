@@ -10,10 +10,11 @@ of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
 nonzero Gale rows B with entries in +-9: median and max milliseconds
 over five matrices per row.  Then the median microseconds per op (best
 of N) of each Gale stage on 100 seeded dense (n-2) x n matrices, n
-12..18, entries in +-9: the forward elimination, the rest of
-``kernel_lattice_basis``, the Lagrange reduction with the configuration,
+12..18, entries in +-9: the forward elimination, the rest of the
+planar kernel ``gale_transform`` runs (back substitution and the
+saturation in Z^2), the Lagrange reduction with the configuration,
 ``reduce_configuration``, ``is_positively_graded`` and ``bouquets``; the
-kernel tail and the Lagrange stage are differences of two timings of
+back-substitution and Lagrange stages are differences of two timings of
 the same matrix.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
 of the plain fan union, the half-turn of the symmetrized fan read off
@@ -54,7 +55,7 @@ from galerobust import (
     reduce_configuration,
 )
 from galerobust.errors import RankError, ZeroRowError
-from galerobust.intlinalg import _bareiss_forward
+from galerobust.intlinalg import _bareiss_forward, _planar_kernel
 from galerobust.hilbert import symmetrized_half_turn
 from galerobust.oracle import _box_scan
 from galerobust.toric import _gale_binomials
@@ -123,7 +124,7 @@ def bench_gale_stages(repeat):
         name: []
         for name in (
             "forward elimination",
-            "kernel tail",
+            "back substitution, saturation",
             "Lagrange and configuration",
             "reduce_configuration",
             "is_positively_graded",
@@ -139,12 +140,12 @@ def bench_gale_stages(repeat):
         except (RankError, ZeroRowError):
             continue
         done += 1
-        forward = _time(lambda: _bareiss_forward([row[::-1] for row in a.rows], n), repeat)
-        kernel = _time(lambda: kernel_lattice_basis(a), repeat)
+        forward = _time(lambda: _bareiss_forward(list(a.rows), n), repeat)
+        kernel = _time(lambda: _planar_kernel(a), repeat)
         whole = _time(lambda: gale_transform(a), repeat)
         for name, t in (
             ("forward elimination", forward),
-            ("kernel tail", kernel - forward),
+            ("back substitution, saturation", kernel - forward),
             ("Lagrange and configuration", whole - kernel),
             ("reduce_configuration", _time(lambda: reduce_configuration(b), repeat)),
             ("is_positively_graded", _time(lambda: is_positively_graded(b), repeat)),

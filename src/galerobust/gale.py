@@ -15,7 +15,7 @@ from operator import index, mul
 from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
-from .intlinalg import IntegerMatrix, _trusted_matrix, kernel_lattice_basis
+from .intlinalg import IntegerMatrix, _planar_kernel, _trusted_matrix, column_hnf
 from .planar import _ZERO_VECTOR, Vec2
 
 
@@ -100,15 +100,19 @@ class Bouquet(_Value):
         object.__setattr__(self, "mixed", mixed)
 
 
-def _lagrange_reduced_columns(k: IntegerMatrix) -> IntegerMatrix:
-    """Deterministic shortest basis for a rank-2 column lattice.
+def _lagrange_reduced_columns(k: IntegerMatrix, settle_ties: bool = False) -> IntegerMatrix:
+    """Shortest basis for a rank-2 column lattice, sign- and order-normalized.
 
     Gauss/Lagrange reduction followed by sign normalization (first
-    nonzero entry positive) and lexicographic column order.  This makes
-    the planar kernel basis, and hence the reduced Gale rows, a canonical
-    function of the input matrix.  The reduction runs on the Gram matrix
-    (|v|^2, |w|^2, v.w) and a 2x2 unimodular transform, so a pass costs
-    O(1); the transform is applied to the two columns once, at the end.
+    nonzero entry positive) and lexicographic column order.  The
+    reduction runs on the Gram matrix (|v|^2, |w|^2, v.w) and a 2x2
+    unimodular transform, so a pass costs O(1); the transform is applied
+    to the two columns once, at the end.  The reduced basis is unique up
+    to sign and order, so the result depends only on the lattice, except
+    on a tie, 2|v.w| = |v|^2, where w and w -+ v are equally short and
+    the result depends on the input basis.  With ``settle_ties`` a tie
+    restarts the reduction on ``column_hnf(k)``, the canonical basis of
+    the lattice, so the result is a function of the lattice alone.
     """
     c0, c1 = k.column(0), k.column(1)
     nv, nw, t = sum(map(mul, c0, c0)), sum(map(mul, c1, c1)), sum(map(mul, c0, c1))
@@ -127,6 +131,8 @@ def _lagrange_reduced_columns(k: IntegerMatrix) -> IntegerMatrix:
             a, b, c, d, nv, nw = c, d, a, b, nw, nv
         else:
             break
+    if settle_ties and 2 * abs(t) == nv:
+        return _lagrange_reduced_columns(column_hnf(k))
     v = [a * x + b * y for x, y in zip(c0, c1)]
     w = [c * x + d * y for x, y in zip(c0, c1)]
 
@@ -143,21 +149,19 @@ def _lagrange_reduced_columns(k: IntegerMatrix) -> IntegerMatrix:
 def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     """Gale configuration of a matrix with corank exactly 2.
 
-    The saturated kernel basis is normalized to the canonical shortest
-    planar basis before its rows are read off, so the configuration is a
-    deterministic function of A.  Raises RankError when rank(A) is not
-    ncols - 2, and ZeroRowError when some variable occurs in no kernel
-    vector.
+    ``intlinalg._planar_kernel`` gives a basis of the saturated kernel,
+    and its Lagrange reduction, with ties settled through ``column_hnf``,
+    is the canonical shortest planar basis whose rows are read off, so
+    the configuration is a deterministic function of the kernel of A.
+    Raises RankError when rank(A) is not ncols - 2, before any back
+    substitution, and ZeroRowError when some variable occurs in no
+    kernel vector.
     """
     n = a.ncols
     if n < 3:
         raise RankError(f"need at least 3 columns, got {n}")
-    k = kernel_lattice_basis(a)
-    r = n - k.ncols
-    if r != n - 2:
-        raise RankError(f"rank {r} != ncols - 2 = {n - 2}; kernel is not planar")
     # The reduced rows are int pairs already; only the zero check is left.
-    rows = _lagrange_reduced_columns(k).rows
+    rows = _lagrange_reduced_columns(_planar_kernel(a), settle_ties=True).rows
     if (0, 0) in rows:
         raise _zero_row_error(rows.index((0, 0)))
     config = object.__new__(GaleConfiguration)

@@ -7,10 +7,14 @@ are minors of the input and never swell beyond the Hadamard bound.
 Back substitution in the echelon form, with exact division, gives a
 kernel basis of full rank that may miss lattice points; one triangular
 solve against a basis of its column lattice, found modulo the last
-pivot, saturates it.  Run from the last column to the first, this
-leaves that basis in echelon form, so its canonical Hermite form costs
-only the reduction above the pivots.  `column_hnf` is the one Hermite
-normal form here; it carries no unimodular transform.
+pivot, saturates it.  In `kernel_lattice_basis` (any corank), run
+from the last column to the first, this leaves that basis in echelon
+form, so its canonical Hermite form costs only the reduction above the
+pivots.  The Gale path takes `_planar_kernel` instead: it checks the
+rank right after the elimination, before any back substitution, and
+saturates the two kernel vectors with one Hermite basis of a lattice in
+Z^2, leaving canonical form to the caller.  `column_hnf` is the one
+Hermite normal form here; it carries no unimodular transform.
 
 All arithmetic uses unbounded Python integers, so results are exact for
 inputs of any magnitude; overflow cannot occur.  Matrices are immutable
@@ -19,10 +23,11 @@ value objects and safe to share between threads.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, RankError
 
 IntVec = tuple[int, ...]
 
@@ -280,18 +285,42 @@ def _divide_exactly(v: list[int], d: int) -> list[int]:
     return [x for x, _ in q]
 
 
+def _back_substitute(
+    pivots: list[int], u: list[Sequence[int]], d: int, n: int
+) -> list[list[int]]:
+    """Kernel vectors K_f of the echelon form (pivots, U, D), one per free column f.
+
+    K_f has D at f and 0 at the other free columns.  From the last pivot
+    up, at pivot p of row i, K_f[p] = -(sum over j > p of U[i][j] K_f[j])
+    / U[i][p]: one dot product and one divmod per pivot row and vector.
+    K_f is D times a rational kernel vector, so by Cramer's rule it is
+    integral and every division is exact (a remainder raises
+    ConsistencyError); in column order it has no entry past f.
+    """
+    pivot_set = set(pivots)
+    k = []
+    for f in range(n):
+        if f not in pivot_set:
+            v = [0] * n
+            v[f] = d
+            k.append(v)
+    for row, p in zip(reversed(u), reversed(pivots)):
+        rest = row[p + 1 :]
+        lead = row[p]
+        for v in k:
+            x, rem = divmod(-sum(map(mul, rest, v[p + 1 :])), lead)
+            if rem:
+                raise _inexact(lead)
+            v[p] = x
+    return k
+
+
 def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis of the saturated integer kernel {v : M v = 0}, as columns.
 
     M is eliminated forward from its last column to its first, to an
-    echelon form U with last pivot D.  For each free column f, back
-    substitution from the last pivot up gives the kernel vector K_f with
-    D at f and 0 at the other free columns: at pivot p of row i,
-    K_f[p] = -(sum over j > p of U[i][j] K_f[j]) / U[i][p], one dot
-    product and one divmod per pivot row and kernel vector.  K_f is D
-    times a rational kernel vector, so by Cramer's rule it is integral
-    and every division is exact (a remainder raises ConsistencyError);
-    in column order it has no entry past f.
+    echelon form U with last pivot D, and back substitution gives one
+    kernel vector K_f per free column f (``_back_substitute``).
     These rows K span the rational kernel but may miss lattice points.
     With T a lower-triangular basis of the column lattice of K (K = T V
     for an integer V), the rows of S = T^-1 K span the whole kernel
@@ -306,25 +335,11 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     """
     n = m.ncols
     pivots, u, d = _bareiss_forward([row[::-1] for row in m.rows], n)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    if not free:
+    if len(pivots) == n:
         return IntegerMatrix([()] * n)
-    k = []
-    for f in free:
-        v = [0] * n
-        v[f] = d
-        k.append(v)
-    for row, p in zip(reversed(u), reversed(pivots)):
-        rest = row[p + 1 :]
-        lead = row[p]
-        for v in k:
-            x, rem = divmod(-sum(map(mul, rest, v[p + 1 :])), lead)
-            if rem:
-                raise _inexact(lead)
-            v[p] = x
+    k = _back_substitute(pivots, u, d, n)
     # Column j of T is t[j]; the other columns of K are D times unit vectors.
-    t = _triangular_basis_mod([[v[p] for v in k] for p in pivots], abs(d), len(free))
+    t = _triangular_basis_mod([[v[p] for v in k] for p in pivots], abs(d), len(k))
     s: list[list[int]] = []
     for i, v in enumerate(k):
         for j in range(i):
@@ -333,3 +348,36 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
                 v = [x - c * y for x, y in zip(v, s[j])]
         s.append(_divide_exactly(v, t[i][i]))
     return column_hnf(_trusted_matrix(tuple(zip(*[v[::-1] for v in reversed(s)]))))
+
+
+def _planar_kernel(m: IntegerMatrix) -> IntegerMatrix:
+    """Some basis of the saturated integer kernel of M, as two columns.
+
+    Raises RankError, right after the forward elimination, unless M has
+    rank ncols - 2.  Back substitution gives the two kernel vectors
+    k0, k1; the pairs (k0[j], k1[j]) span a lattice L in Z^2 that holds
+    |D|*Z^2, so its Hermite basis (a, b), (0, c), the columns of T,
+    starts from a = c = |D| and takes an xgcd step only where a does not
+    divide the next first entry; b stays reduced mod c.  The rows of
+    T^-1 (k0, k1), found by exact division, span the whole kernel
+    lattice, as in kernel_lattice_basis, but the basis is not canonical.
+    """
+    n = m.ncols
+    pivots, u, d = _bareiss_forward(list(m.rows), n)
+    if len(pivots) != n - 2:
+        raise RankError(f"rank {len(pivots)} != ncols - 2 = {n - 2}; kernel is not planar")
+    k0, k1 = _back_substitute(pivots, u, d, n)
+    a = c = abs(d)
+    b = 0
+    for x, y in zip(k0, k1):
+        if x % a:
+            g, s, t = _xgcd(a, x)
+            # Unimodular step on the pair (a, b), (x, y); it leaves (g, b'), (0, y').
+            a, b, y = g, (s * b + t * y) % c, (a // g) * y - (x // g) * b
+        else:
+            y -= x // a * b
+        c = gcd(c, y)
+    b %= c
+    s0 = _divide_exactly(k0, a)
+    s1 = _divide_exactly([y - b * x for x, y in zip(s0, k1)], c)
+    return _trusted_matrix(tuple(zip(s0, s1)))

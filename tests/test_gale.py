@@ -34,6 +34,14 @@ def test_gale_transform_two_block_matrix():
     assert (a @ IntegerMatrix([list(r) for r in b.rows])).is_zero()
 
 
+
+def test_gale_transform_settles_lagrange_tie():
+    # The kernel lattice of [1 1 1] is hexagonal: a reduced basis v, w
+    # has |v|^2 = |w|^2 = 2 and v.w = +-1, so w and w -+ v tie, and
+    # only the column_hnf restart makes the rows independent of the
+    # basis the planar kernel happens to return.
+    assert gale_transform(IntegerMatrix([[1, 1, 1]])).rows == ((1, 1), (-1, 0), (0, -1))
+
 def test_gale_transform_rejects_wrong_rank():
     with pytest.raises(RankError):
         gale_transform(IntegerMatrix.identity(3))

@@ -8,9 +8,13 @@ operations on A, which keep its kernel.  Kernels of wide sparse
 matrices A = ker(B^T)^T must be saturated, the Gram-matrix Lagrange
 reduction must return what the vector form (``reference_lagrange``)
 does, and the Gale rows of a fixed set of dense matrices must hash to a
-recorded digest.  ``binomial_from_vector`` (in conftest) runs the
-unchecked batch builder, so every binomial it builds must pass the
-constructor's checks.
+recorded digest.  ``gale_transform`` reads its rows off a planar kernel
+basis that is not canonical, so on small-entry matrices, where Lagrange
+ties are common, and on the wide sparse ones its rows must equal the
+Lagrange reduction of the canonical ``kernel_lattice_basis``.
+``binomial_from_vector`` (in conftest) runs the unchecked batch
+builder, so every binomial it builds must pass the constructor's
+checks.
 """
 
 import hashlib
@@ -18,6 +22,7 @@ import random
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +30,8 @@ from galerobust import (
     Binomial,
     GaleRobustError,
     IntegerMatrix,
+    RankError,
+    ZeroRowError,
     gale_transform,
     kernel_lattice_basis,
     rank,
@@ -201,6 +208,34 @@ def test_wide_sparse_kernels_are_saturated(a):
     if a.ncols <= 12:
         assert k == reference_kernel(a)
 
+
+
+@st.composite
+def _small_corank2(draw):
+    """(n-2) x n matrices, n 3..10, entries in +-1, +-2 or +-3; some rank-deficient."""
+    n = draw(st.integers(3, 10))
+    bound = draw(st.integers(1, 3))
+    entry = st.integers(-bound, bound)
+    row = st.lists(entry, min_size=n, max_size=n)
+    return IntegerMatrix(draw(st.lists(row, min_size=n - 2, max_size=n - 2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_small_corank2(), _wide_kernels()))
+def test_gale_rows_match_reduced_kernel_lattice_basis(a):
+    assume(a is not None)
+    n = a.ncols
+    if rank(a) != n - 2:
+        with pytest.raises(RankError) as e:
+            gale_transform(a)
+        assert str(e.value) == f"rank {rank(a)} != ncols - 2 = {n - 2}; kernel is not planar"
+        return
+    expected = _lagrange_reduced_columns(kernel_lattice_basis(a)).rows
+    if (0, 0) in expected:
+        with pytest.raises(ZeroRowError):
+            gale_transform(a)
+    else:
+        assert gale_transform(a).rows == expected
 
 # sha256 of the Gale rows of _golden_matrices(), recorded before the
 # elimination became forward-only and the Lagrange reduction moved onto
