@@ -87,6 +87,9 @@ def _bouquet_section(qs) -> dict:
 
 
 def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) -> dict:
+    # A complete intersection has an empty core, hence no indispensable
+    # binomials, so its Markov list comes out empty too.
+    indispensable = _binomial_list(report.indispensable, letters)
     return {
         **_head(m),
         **_gale_section(report.gale, report.reduced),
@@ -96,11 +99,9 @@ def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) 
             for v, idx in report.h_union.provenance
         ],
         "h_core": [list(v) for v in report.h_core],
-        "indispensable": _binomial_list(report.indispensable, letters),
+        "indispensable": indispensable,
         "graver": _binomial_list(report.graver, letters),
-        "markov": _binomial_list(
-            report.indispensable if not report.complete_intersection else (), letters
-        ),
+        "markov": indispensable,
         "complete_intersection": report.complete_intersection,
         **_bouquet_section(report.bouquets),
         "centrally_symmetric": report.centrally_symmetric,

@@ -11,12 +11,13 @@ from __future__ import annotations
 import functools
 from math import gcd
 from operator import index, mul
+from typing import Sequence
 
 from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
 from .intlinalg import IntegerMatrix, _planar_kernel, _trusted_matrix, column_hnf
-from .planar import _ZERO_VECTOR, Vec2
+from .planar import Vec2
 
 
 class GaleConfiguration(_Value, uncompared=("source",)):
@@ -100,8 +101,10 @@ class Bouquet(_Value):
         object.__setattr__(self, "mixed", mixed)
 
 
-def _lagrange_reduced_columns(k: IntegerMatrix, settle_ties: bool = False) -> IntegerMatrix:
-    """Shortest basis for a rank-2 column lattice, sign- and order-normalized.
+def _lagrange_reduced_columns(
+    c0: Sequence[int], c1: Sequence[int], settle_ties: bool = False
+) -> tuple[Vec2, ...]:
+    """Rows of the shortest basis of the lattice spanned by columns c0, c1.
 
     Gauss/Lagrange reduction followed by sign normalization (first
     nonzero entry positive) and lexicographic column order.  The
@@ -111,10 +114,10 @@ def _lagrange_reduced_columns(k: IntegerMatrix, settle_ties: bool = False) -> In
     to sign and order, so the result depends only on the lattice, except
     on a tie, 2|v.w| = |v|^2, where w and w -+ v are equally short and
     the result depends on the input basis.  With ``settle_ties`` a tie
-    restarts the reduction on ``column_hnf(k)``, the canonical basis of
-    the lattice, so the result is a function of the lattice alone.
+    restarts the reduction on the columns of ``column_hnf``, the
+    canonical basis of the lattice, so the result is a function of the
+    lattice alone.
     """
-    c0, c1 = k.column(0), k.column(1)
     nv, nw, t = sum(map(mul, c0, c0)), sum(map(mul, c1, c1)), sum(map(mul, c0, c1))
     # v = a*c0 + b*c1 and w = c*c0 + d*c1.
     a, b, c, d = 1, 0, 0, 1
@@ -132,7 +135,8 @@ def _lagrange_reduced_columns(k: IntegerMatrix, settle_ties: bool = False) -> In
         else:
             break
     if settle_ties and 2 * abs(t) == nv:
-        return _lagrange_reduced_columns(column_hnf(k))
+        h = column_hnf(_trusted_matrix(tuple(zip(c0, c1))))
+        return _lagrange_reduced_columns(h.column(0), h.column(1))
     v = [a * x + b * y for x, y in zip(c0, c1)]
     w = [c * x + d * y for x, y in zip(c0, c1)]
 
@@ -143,16 +147,16 @@ def _lagrange_reduced_columns(k: IntegerMatrix, settle_ties: bool = False) -> In
     v, w = sign_fix(v), sign_fix(w)
     if w < v:
         v, w = w, v
-    return _trusted_matrix(tuple(zip(v, w)))
+    return tuple(zip(v, w))
 
 
 def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     """Gale configuration of a matrix with corank exactly 2.
 
-    ``intlinalg._planar_kernel`` gives a basis of the saturated kernel,
-    and its Lagrange reduction, with ties settled through ``column_hnf``,
-    is the canonical shortest planar basis whose rows are read off, so
-    the configuration is a deterministic function of the kernel of A.
+    ``intlinalg._planar_kernel`` spans the saturated kernel with two
+    columns; their Lagrange reduction, ties settled by ``column_hnf``, is
+    the canonical shortest planar basis whose rows are read off, so the
+    configuration is a deterministic function of the kernel of A.
     Raises RankError when rank(A) is not ncols - 2, before any back
     substitution, and ZeroRowError when some variable occurs in no
     kernel vector.
@@ -161,7 +165,7 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     if n < 3:
         raise RankError(f"need at least 3 columns, got {n}")
     # The reduced rows are int pairs already; only the zero check is left.
-    rows = _lagrange_reduced_columns(_planar_kernel(a), settle_ties=True).rows
+    rows = _lagrange_reduced_columns(*_planar_kernel(a), settle_ties=True)
     if (0, 0) in rows:
         raise _zero_row_error(rows.index((0, 0)))
     config = object.__new__(GaleConfiguration)
@@ -188,7 +192,7 @@ def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
     )
 
 
-def is_positively_graded(b) -> bool:
+def is_positively_graded(b: GaleConfiguration) -> bool:
     """Whether {alpha in Z^2 : B alpha >= 0 componentwise} = {0}.
 
     Exactly equivalent to the rows of B positively spanning the plane,
@@ -198,13 +202,10 @@ def is_positively_graded(b) -> bool:
     it, and note whether some row points opposite r0.  Every gap between
     consecutive directions is below pi unless one side of r0 is empty or
     the gap from L to R reaches pi, which a row opposite r0 splits and
-    which is below pi iff cross(L, R) > 0.  Accepts a GaleConfiguration
-    or any sequence of nonzero 2D integer rows; a zero row raises
-    ValueError.
+    which is below pi iff cross(L, R) > 0.  The configuration's
+    constructor guarantees at least three rows, none of them zero.
     """
-    rows = b.rows if isinstance(b, GaleConfiguration) else tuple(map(tuple, b))
-    if not rows:
-        return False
+    rows = b.rows
     # Left and right start at r0 and stay there while that side is empty.
     r0 = left = right = rows[0]
     x0, y0 = r0
@@ -220,8 +221,6 @@ def is_positively_graded(b) -> bool:
                 right = row
         elif x0 * x + y0 * y < 0:
             opposite = True
-        elif not (x or y):
-            raise ValueError(_ZERO_VECTOR)
     if left is r0 or right is r0:
         return False
     return opposite or left[0] * right[1] - left[1] * right[0] > 0
@@ -233,14 +232,13 @@ def bouquets(b: GaleConfiguration) -> list[Bouquet]:
     One pass groups the rows by the sign-canonical primitive direction
     of their line; a bouquet is mixed when both primitive ends of the
     line occur among its rows.  Groups open in row order, so bouquets
-    come out listed by smallest member.
+    come out listed by smallest member.  The rows are nonzero, as the
+    configuration's constructor guarantees.
     """
     groups: dict[Vec2, list[int]] = {}
     ends: set[Vec2] = set()
     for i, (x, y) in enumerate(b.rows):
         g = gcd(x, y)
-        if not g:
-            raise ValueError(_ZERO_VECTOR)
         x, y = x // g, y // g
         ends.add((x, y))
         d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)

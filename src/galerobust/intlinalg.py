@@ -350,8 +350,8 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
     return column_hnf(_trusted_matrix(tuple(zip(*[v[::-1] for v in reversed(s)]))))
 
 
-def _planar_kernel(m: IntegerMatrix) -> IntegerMatrix:
-    """Some basis of the saturated integer kernel of M, as two columns.
+def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
+    """Two columns, as lists, that span the saturated integer kernel of M.
 
     Raises RankError, right after the forward elimination, unless M has
     rank ncols - 2.  Back substitution gives the two kernel vectors
@@ -380,4 +380,4 @@ def _planar_kernel(m: IntegerMatrix) -> IntegerMatrix:
     b %= c
     s0 = _divide_exactly(k0, a)
     s1 = _divide_exactly([y - b * x for x, y in zip(s0, k1)], c)
-    return _trusted_matrix(tuple(zip(s0, s1)))
+    return s0, s1

@@ -20,7 +20,6 @@ from math import gcd
 
 from .errors import GradingError, ShellWarning
 from .gale import GaleConfiguration, _lagrange_reduced_columns, is_positively_graded
-from .intlinalg import _trusted_matrix
 from .planar import cross
 
 #: Width of the safety margin checked at the edge of the scan box.
@@ -64,7 +63,7 @@ def _fiber_walk(b: GaleConfiguration, v: tuple[int, ...]):
         raise ValueError("target must be nonnegative")
     if not is_positively_graded(b):
         raise GradingError("fiber polygon is unbounded for ungraded configurations")
-    rows = _lagrange_reduced_columns(_trusted_matrix(b.rows)).rows
+    rows = _lagrange_reduced_columns(*zip(*b.rows))
     for a1s in count(0), count(-1, -1):
         for a1 in a1s:
             cs = [t - p * a1 for (p, _), t in zip(rows, v)]
@@ -75,28 +74,17 @@ def _fiber_walk(b: GaleConfiguration, v: tuple[int, ...]):
                 yield tuple(c - q * a2 for c, (_, q) in zip(cs, rows))
 
 
-def is_indispensable_oracle(b: GaleConfiguration, binomial) -> bool:
+def is_indispensable_oracle(b: GaleConfiguration, binomial: Binomial) -> bool:
     """Definition check: fiber of the plus part is exactly {plus, minus}.
 
-    Accepts a Binomial or a raw (plus, minus) pair; raw pairs with
-    overlapping supports are legal input and simply return False.  Both
-    parts must have length n, and plus - minus must be a kernel vector of
-    the configuration.
+    The Binomial's constructor guarantees disjoint, nonnegative parts
+    that are not both zero; here it must also have length n, and
+    plus - minus must be a kernel vector of the configuration.
     """
-    from .toric import Binomial
-
-    if isinstance(binomial, Binomial):
-        plus, minus = binomial.plus, binomial.minus
-    else:
-        plus, minus = tuple(binomial[0]), tuple(binomial[1])
-    if not len(plus) == len(minus) == b.n:
-        raise ValueError("plus and minus must both have the configuration's length")
-    if not any(plus) and not any(minus):
-        raise ValueError("zero binomial")
-    if any(p > 0 and m > 0 for p, m in zip(plus, minus)):
-        return False
-    diff = tuple(p - m for p, m in zip(plus, minus))
-    if _solve_in_kernel(b, diff) is None:
+    plus, minus = binomial.plus, binomial.minus
+    if len(plus) != b.n:
+        raise ValueError("binomial length does not match configuration size")
+    if _solve_in_kernel(b, binomial.vector) is None:
         raise ValueError("plus - minus is not a kernel vector of the configuration")
     # The fiber holds plus and minus; a third point decides the answer.
     return set(islice(_fiber_walk(b, plus), 3)) == {plus, minus}

@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 Vec2 = tuple[int, int]
 
-_ZERO_VECTOR = "zero vector has no primitive representative"
-
 
 def cross(u: Sequence[int], v: Sequence[int]) -> int:
     """2D cross product u1*v2 - u2*v1."""

@@ -213,7 +213,10 @@ class RobustnessReport(_Value, uncompared=("gale", "reduced")):
         if not indispensable <= graver:
             raise ConsistencyError("indispensable set exceeds the Graver basis")
         if strongly_robust != (indispensable == graver):
-            raise ConsistencyError("verdict contradicts the set comparison")
+            raise ConsistencyError(
+                "geometric criterion and direct Graver comparison disagree; "
+                "this indicates a bug, please report the input matrix"
+            )
         object.__setattr__(self, "strongly_robust", strongly_robust)
         object.__setattr__(self, "graver", graver)
         object.__setattr__(self, "indispensable", indispensable)
@@ -232,9 +235,10 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     """Decide strong robustness (indispensable set equals Graver basis).
 
     The verdict is computed from the geometric criterion (for every
-    reduced row, its negation lies in the symmetric core) and checked
-    against the direct set comparison; the two must agree on every input,
-    and a ConsistencyError is raised if they ever do not.
+    reduced row, its negation lies in the symmetric core), and the
+    report's constructor checks it against the direct set comparison;
+    the two must agree on every input, and a ConsistencyError is raised
+    if they ever do not.
 
     This is the package's one analysis pass: ``graver_basis``,
     ``indispensable_set`` and ``markov_basis`` read their answers off the
@@ -252,11 +256,10 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
         if (-row[0], -row[1]) not in core_set:
             witness = row
             break
-    geometric_verdict = witness is None
 
     # u and -u name one binomial, so each core pair takes it from whichever
     # member is in the half-turn.  Pairs under neither are built apart and
-    # never dropped, so that the consistency checks below catch them.
+    # never dropped, so that the report's consistency checks catch them.
     half = symmetrized_half_turn(union)
     graver_by_u = dict(zip(half, _gale_binomials(b, half)))
     graver = frozenset(graver_by_u.values())
@@ -264,15 +267,10 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     indisp = frozenset(
         [graver_by_u[u] for u in core if u in graver_by_u] + _gale_binomials(b, missing)
     )
-    if geometric_verdict != (indisp == graver):
-        raise ConsistencyError(
-            "geometric criterion and direct Graver comparison disagree; "
-            "this indicates a bug, please report the input matrix"
-        )
 
     bqs = tuple(bouquets(b))
     return RobustnessReport(
-        strongly_robust=geometric_verdict,
+        strongly_robust=witness is None,
         graver=graver,
         indispensable=indisp,
         h_union=union,

@@ -26,7 +26,7 @@ from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
 from galerobust.intlinalg import _bareiss_forward, _xgcd, column_hnf
 from galerobust.oracle import _fiber_walk
-from galerobust.planar import _ZERO_VECTOR, angle_cmp, convex_hull, cross
+from galerobust.planar import angle_cmp, convex_hull, cross
 from galerobust.toric import _gale_binomials, _trusted_binomials
 
 DATA = Path(__file__).parent / "data"
@@ -70,7 +70,7 @@ def primitive(v) -> tuple[int, int]:
     """Scale a nonzero integer vector so its entries are coprime."""
     x, y = v
     if x == 0 and y == 0:
-        raise ValueError(_ZERO_VECTOR)
+        raise ValueError("zero vector has no primitive representative")
     g = gcd(abs(x), abs(y))
     return (x // g, y // g)
 
@@ -231,15 +231,14 @@ def reference_lagrange(k: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix([[a, b] for a, b in zip(v, w)])
 
 
-def reference_is_positively_graded(b) -> bool:
+def reference_is_positively_graded(b: GaleConfiguration) -> bool:
     """Grading by an angle sort, as before the one-pass test.
 
     Deduplicates the primitive directions, sorts them by exact angle and
     requires every counterclockwise gap between neighbours to be below
-    pi.  A zero row raises ValueError from ``primitive``.
+    pi.
     """
-    rows = b.rows if isinstance(b, GaleConfiguration) else tuple(map(tuple, b))
-    dirs = sorted({primitive(row) for row in rows}, key=functools.cmp_to_key(angle_cmp))
+    dirs = sorted({primitive(row) for row in b.rows}, key=functools.cmp_to_key(angle_cmp))
     if len(dirs) < 2:
         return False
     for i, d in enumerate(dirs):

@@ -142,8 +142,6 @@ def test_positively_graded_example(example_matrix):
 def test_not_graded_half_plane():
     b = GaleConfiguration(rows=((1, 0), (0, 1), (1, 1)))
     assert not is_positively_graded(b)
-    # raw row sequences are accepted for configurations too small to build
-    assert not is_positively_graded([(1, 0), (0, 1)])
 
 
 def test_not_graded_with_line():

@@ -10,8 +10,11 @@ reduction must return what the vector form (``reference_lagrange``)
 does, and the Gale rows of a fixed set of dense matrices must hash to a
 recorded digest.  ``gale_transform`` reads its rows off a planar kernel
 basis that is not canonical, so on small-entry matrices, where Lagrange
-ties are common, and on the wide sparse ones its rows must equal the
-Lagrange reduction of the canonical ``kernel_lattice_basis``.
+ties are common, on ones with a forced zero Gale row, and on the wide
+sparse ones its rows must equal the Lagrange reduction of the canonical
+``kernel_lattice_basis``.  It also builds its configuration without the
+public constructor, so the result, or the ZeroRowError, must be what
+that constructor makes of the same rows.
 ``binomial_from_vector`` (in conftest) runs the unchecked batch
 builder, so every binomial it builds must pass the constructor's
 checks.
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 
 from galerobust import (
     Binomial,
+    GaleConfiguration,
     GaleRobustError,
     IntegerMatrix,
     RankError,
@@ -163,7 +167,7 @@ def test_gram_lagrange_matches_vector_form(basis):
     # Dependent columns span no planar lattice.
     assume(any(x * y2 != x2 * y for (x, y), (x2, y2) in combinations(zip(v, w), 2)))
     k = IntegerMatrix(list(zip(v, w)))
-    assert _lagrange_reduced_columns(k) == reference_lagrange(k)
+    assert _lagrange_reduced_columns(v, w) == reference_lagrange(k).rows
 
 
 @st.composite
@@ -220,8 +224,23 @@ def _small_corank2(draw):
     return IntegerMatrix(draw(st.lists(row, min_size=n - 2, max_size=n - 2)))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(_small_corank2(), _wide_kernels()))
+@st.composite
+def _corank_two_matrices(draw):
+    """(n-2) x n matrices to +-3, n 3..8; some force a zero Gale row.
+
+    Replacing a row by e_j puts variable j in no kernel vector.
+    """
+    n = draw(st.integers(3, 8))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n - 2, max_size=n - 2))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        rows[draw(st.integers(0, n - 3))] = [int(i == j) for i in range(n)]
+    return IntegerMatrix(rows)
+
+
+@settings(max_examples=700, deadline=None)
+@given(st.one_of(_small_corank2(), _corank_two_matrices(), _wide_kernels()))
 def test_gale_rows_match_reduced_kernel_lattice_basis(a):
     assume(a is not None)
     n = a.ncols
@@ -230,12 +249,19 @@ def test_gale_rows_match_reduced_kernel_lattice_basis(a):
             gale_transform(a)
         assert str(e.value) == f"rank {rank(a)} != ncols - 2 = {n - 2}; kernel is not planar"
         return
-    expected = _lagrange_reduced_columns(kernel_lattice_basis(a)).rows
+    k = kernel_lattice_basis(a)
+    expected = _lagrange_reduced_columns(k.column(0), k.column(1))
     if (0, 0) in expected:
-        with pytest.raises(ZeroRowError):
+        # gale_transform skips the public constructor; its error must not differ.
+        with pytest.raises(ZeroRowError) as want:
+            GaleConfiguration(rows=expected)
+        with pytest.raises(ZeroRowError) as got:
             gale_transform(a)
+        assert str(got.value) == str(want.value)
     else:
-        assert gale_transform(a).rows == expected
+        b = gale_transform(a)
+        assert b.rows == expected and b == GaleConfiguration(rows=expected)
+        assert b.source is a
 
 # sha256 of the Gale rows of _golden_matrices(), recorded before the
 # elimination became forward-only and the Lagrange reduction moved onto

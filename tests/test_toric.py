@@ -198,6 +198,26 @@ def test_strongly_robust_lawrence_type():
     assert report.mixed_count >= 2
 
 
+def _report_fields(report):
+    return {name: getattr(report, name) for name in toric.RobustnessReport.__slots__}
+
+
+@pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
+def test_report_rejects_a_verdict_against_the_set_comparison(name, request):
+    fields = _report_fields(is_strongly_robust(request.getfixturevalue(name)))
+    fields["strongly_robust"] = not fields["strongly_robust"]
+    with pytest.raises(ConsistencyError, match="direct Graver comparison disagree"):
+        toric.RobustnessReport(**fields)
+
+
+def test_report_rejects_an_indispensable_set_outside_the_graver_basis(example_matrix):
+    fields = _report_fields(is_strongly_robust(example_matrix))
+    # B (2, 2) is twice a kernel vector, so no Graver element.
+    fields["indispensable"] |= {binomial_from_gale(fields["gale"], (2, 2))}
+    with pytest.raises(ConsistencyError, match="exceeds the Graver basis"):
+        toric.RobustnessReport(**fields)
+
+
 def test_hull_symmetry_example(example_matrix):
     reduced = reduce_configuration(gale_transform(example_matrix))
     assert centrally_symmetric_hull(reduced)
