@@ -1,16 +1,30 @@
-"""Property tests, drawn by hypothesis, for the one-pass Gale readers.
+"""Property tests, drawn by hypothesis, for the one-pass Gale readers and
+the trusted Gale configuration.
 
 ``is_positively_graded`` tests the extremes on either side of the first
 row, and ``bouquets`` groups the rows in one pass; both must equal the
 sort-based versions kept in conftest (``reference_is_positively_graded``
 and ``reference_bouquets``) on every configuration.  Zero rows never
 reach them: ``GaleConfiguration`` rejects those when it is built.
+``gale_transform`` builds its configuration without the public
+constructor, so it must equal what that constructor makes of the same
+rows, or raise the same ZeroRowError.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galerobust import GaleConfiguration, bouquets, is_positively_graded
+from galerobust import (
+    GaleConfiguration,
+    IntegerMatrix,
+    RankError,
+    ZeroRowError,
+    bouquets,
+    gale_transform,
+    is_positively_graded,
+    kernel_lattice_basis,
+)
+from galerobust.gale import _lagrange_reduced_columns
 
 from conftest import reference_bouquets, reference_is_positively_graded
 
@@ -54,3 +68,45 @@ def test_grading_matches_sort_reference(rows):
 def test_bouquets_match_reference(rows):
     b = GaleConfiguration(rows=tuple(rows))
     assert bouquets(b) == reference_bouquets(b)
+
+
+@st.composite
+def _corank_two_matrices(draw):
+    """(n-2) x n matrices to +-3, n 3..8; some force a zero Gale row.
+
+    Replacing a row by e_j puts variable j in no kernel vector.
+    """
+    n = draw(st.integers(3, 8))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n - 2, max_size=n - 2))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        rows[draw(st.integers(0, n - 3))] = [int(i == j) for i in range(n)]
+    return IntegerMatrix(rows)
+
+
+def _configuration(fn, a):
+    try:
+        b = fn(a)
+    except (RankError, ZeroRowError) as e:
+        return type(e).__name__, str(e)
+    return b.rows, b.source
+
+
+def _checked(a):
+    k = kernel_lattice_basis(a)
+    if k.ncols != 2:
+        raise RankError(str(k.ncols))
+    rows = _lagrange_reduced_columns(k.column(0), k.column(1))
+    return GaleConfiguration(rows=rows, source=a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corank_two_matrices())
+def test_trusted_configuration_matches_public_constructor(a):
+    got = _configuration(gale_transform, a)
+    want = _configuration(_checked, a)
+    if want[0] == "RankError":
+        assert got[0] == "RankError"
+    else:
+        assert got == want
