@@ -69,7 +69,7 @@ def _gale_section(b, reduced) -> dict:
         "gale": [list(r) for r in b.rows],
         "reduced_gale": {
             "rows": [list(r) for r in reduced.rows],
-            "index_map": list(reduced.index_map),
+            "index_map": list(range(len(reduced.rows))),
             "angular_order": list(reduced.angular_order),
         },
         "positively_graded": is_positively_graded(b),

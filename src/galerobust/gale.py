@@ -16,7 +16,7 @@ from typing import Sequence
 from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
-from .intlinalg import IntegerMatrix, _planar_kernel, _trusted_matrix, column_hnf
+from .intlinalg import IntegerMatrix, _planar_kernel, column_hnf
 from .planar import Vec2
 
 
@@ -40,8 +40,7 @@ class GaleConfiguration(_Value, uncompared=("source",)):
             if t == (0, 0):
                 raise _zero_row_error(i)
             clean.append(t)
-        object.__setattr__(self, "rows", tuple(clean))
-        object.__setattr__(self, "source", source)
+        super().__init__(tuple(clean), source)
 
     @property
     def n(self) -> int:
@@ -62,23 +61,13 @@ def _zero_row_error(i: int) -> ZeroRowError:
 class ReducedGaleConfiguration(_Value):
     """Primitive 90-degree rotations of the Gale rows, with angular order.
 
-    ``rows[i]`` corresponds to variable ``index_map[i]`` (the identity
-    here, since rows are kept in original order) and ``angular_order``
-    lists row positions sorted counterclockwise from the smallest angle
-    in [0, 2*pi), ties broken by original index.
+    ``rows[i]`` belongs to variable i, as the rows keep their original
+    order, and ``angular_order`` lists row positions sorted
+    counterclockwise from the smallest angle in [0, 2*pi), ties broken
+    by original index.
     """
 
-    __slots__ = ("rows", "index_map", "angular_order")
-
-    def __init__(
-        self,
-        rows: tuple[Vec2, ...],
-        index_map: tuple[int, ...],
-        angular_order: tuple[int, ...],
-    ):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "index_map", index_map)
-        object.__setattr__(self, "angular_order", angular_order)
+    __slots__ = ("rows", "angular_order")
 
     def distinct_directions(self) -> tuple[Vec2, ...]:
         """Distinct reduced directions in counterclockwise order."""
@@ -94,11 +83,6 @@ class Bouquet(_Value):
     """Maximal set of variables whose Gale vectors span one line."""
 
     __slots__ = ("members", "direction", "mixed")
-
-    def __init__(self, members: frozenset[int], direction: Vec2, mixed: bool):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "mixed", mixed)
 
 
 def _lagrange_reduced_columns(
@@ -135,7 +119,7 @@ def _lagrange_reduced_columns(
         else:
             break
     if settle_ties and 2 * abs(t) == nv:
-        h = column_hnf(_trusted_matrix(tuple(zip(c0, c1))))
+        h = column_hnf(IntegerMatrix._trusted(tuple(zip(c0, c1))))
         return _lagrange_reduced_columns(h.column(0), h.column(1))
     v = [a * x + b * y for x, y in zip(c0, c1)]
     w = [c * x + d * y for x, y in zip(c0, c1)]
@@ -168,10 +152,7 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     rows = _lagrange_reduced_columns(*_planar_kernel(a), settle_ties=True)
     if (0, 0) in rows:
         raise _zero_row_error(rows.index((0, 0)))
-    config = object.__new__(GaleConfiguration)
-    object.__setattr__(config, "rows", rows)
-    object.__setattr__(config, "source", a)
-    return config
+    return GaleConfiguration._trusted(rows, a)
 
 
 def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
@@ -185,11 +166,7 @@ def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
         range(len(reduced)),
         key=functools.cmp_to_key(lambda i, j: planar.angle_cmp(reduced[i], reduced[j])),
     )
-    return ReducedGaleConfiguration(
-        rows=tuple(reduced),
-        index_map=tuple(range(len(reduced))),
-        angular_order=tuple(order),
-    )
+    return ReducedGaleConfiguration(rows=tuple(reduced), angular_order=tuple(order))
 
 
 def is_positively_graded(b: GaleConfiguration) -> bool:
@@ -243,7 +220,9 @@ def bouquets(b: GaleConfiguration) -> list[Bouquet]:
         ends.add((x, y))
         d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
         groups.setdefault(d, []).append(i)
-    return [
-        Bouquet(frozenset(members), d, d in ends and (-d[0], -d[1]) in ends)
-        for d, members in groups.items()
-    ]
+    dirs = list(groups)
+    return Bouquet._trusted_all(
+        [frozenset(members) for members in groups.values()],
+        dirs,
+        [d in ends and (-d[0], -d[1]) in ends for d in dirs],
+    )

@@ -29,8 +29,8 @@ class Cone2D(_Value):
     """Pointed cone spanned by two primitive generators, a before b.
 
     The public constructor converts both generators to int pairs and
-    checks them; ``_trusted_cone`` builds a cone from generators already
-    known to be valid and skips ``__init__`` with its checks.
+    checks them; ``Cone2D._trusted`` and ``Cone2D._trusted_all`` build
+    cones from generators already known to be valid, without the checks.
     """
 
     __slots__ = ("a", "b")
@@ -42,36 +42,17 @@ class Cone2D(_Value):
             raise ValueError("cone generators must be primitive")
         if cross(a, b) <= 0:
             raise ValueError("generators must be counterclockwise with angle < pi")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(a, b)
 
     @property
     def det(self) -> int:
         return cross(self.a, self.b)
 
 
-def _trusted_cone(a: Vec2, b: Vec2) -> Cone2D:
-    """Cone2D(a, b) without ``__init__``: a, b primitive int pairs, det > 0."""
-    cone = object.__new__(Cone2D)
-    object.__setattr__(cone, "a", a)
-    object.__setattr__(cone, "b", b)
-    return cone
-
-
 class HilbertBasisSet(_Value):
     """Union of the Hilbert bases of a fan, with per-vector provenance."""
 
     __slots__ = ("vectors", "provenance", "cones")
-
-    def __init__(
-        self,
-        vectors: tuple[Vec2, ...],
-        provenance: tuple[tuple[Vec2, tuple[int, ...]], ...],
-        cones: tuple[Cone2D, ...],
-    ):
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "cones", cones)
 
 
 def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
@@ -109,20 +90,18 @@ def _fan_cones(dirs: tuple[Vec2, ...]) -> list[Cone2D]:
         raise GradingError(
             f"only {len(dirs)} distinct directions; the fan cannot cover the plane"
         )
-    cones = []
-    for i, d in enumerate(dirs):
+    nexts = dirs[1:] + dirs[:1]
+    for d, nxt in zip(dirs, nexts):
         # One primitivity check per direction; the cross product below is
-        # the counterclockwise check, so each cone is built trusted.
+        # the counterclockwise check, so the cones are built trusted.
         if not planar.is_primitive(d):
             raise ValueError("cone generators must be primitive")
-        nxt = dirs[(i + 1) % len(dirs)]
         if cross(d, nxt) <= 0:
             raise GradingError(
                 f"consecutive directions {d} and {nxt} span an angle >= pi; "
                 "the configuration is not positively graded"
             )
-        cones.append(_trusted_cone(d, nxt))
-    return cones
+    return Cone2D._trusted_all(dirs, nexts)
 
 
 def _union_in_walk_order(cones: list[Cone2D], chains) -> HilbertBasisSet:
@@ -201,7 +180,7 @@ def symmetrized_half_turn(union: HilbertBasisSet) -> list[Vec2]:
     half: list[Vec2] = []
     for p, q in zip(merged, merged[1:] + [(-merged[0][0], -merged[0][1])]):
         if cross(p, q) > 1:
-            half.extend(hilbert_basis(_trusted_cone(p, q))[1:-1])
+            half.extend(hilbert_basis(Cone2D._trusted(p, q))[1:-1])
         half.append(q)
     return half
 

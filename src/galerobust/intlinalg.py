@@ -27,6 +27,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
+from ._value import _Value
 from .errors import ConsistencyError, RankError
 
 IntVec = tuple[int, ...]
@@ -47,17 +48,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class IntegerMatrix:
-    """Immutable dense matrix over the integers.
+class IntegerMatrix(_Value):
+    """Immutable dense matrix over the integers, a value keyed by its rows.
 
     Entries are validated to be plain Python ints (bools are rejected) so
     every operation stays exact.  Matrices must have at least one row;
     zero-column matrices are permitted because kernels of full-rank maps
-    are legitimately trivial.  ``_trusted_matrix`` wraps rows the library
-    computed itself and skips these checks.
+    are legitimately trivial.  ``IntegerMatrix._trusted`` wraps rows the
+    library computed itself, a nonempty tuple of int tuples, and skips
+    these checks.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         packed = []
@@ -74,70 +76,53 @@ class IntegerMatrix:
             packed.append(t)
         if not packed:
             raise ValueError("matrix needs at least one row")
-        self._rows = tuple(packed)
+        super().__init__(tuple(packed))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
-    def rows(self) -> tuple[IntVec, ...]:
-        return self._rows
-
-    @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0])
+        return len(self.rows[0])
 
     def row(self, i: int) -> IntVec:
-        return self._rows[i]
+        return self.rows[i]
 
     def column(self, j: int) -> IntVec:
-        return tuple(r[j] for r in self._rows)
+        return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "IntegerMatrix":
         if not self.ncols:
             raise ValueError("matrix needs at least one row")
-        return _trusted_matrix(tuple(zip(*self._rows)))
+        return IntegerMatrix._trusted(tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: ({self.nrows}x{self.ncols}) @ ({other.nrows}x{other.ncols})"
             )
-        cols = tuple(zip(*other._rows))
-        return _trusted_matrix(
-            tuple(tuple([sum(map(mul, r, c)) for c in cols]) for r in self._rows)
+        cols = tuple(zip(*other.rows))
+        return IntegerMatrix._trusted(
+            tuple(tuple([sum(map(mul, r, c)) for c in cols]) for r in self.rows)
         )
 
     def apply(self, vec: Sequence[int]) -> IntVec:
         """Matrix-vector product M @ v as a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(r[k] * vec[k] for k in range(self.ncols)) for r in self._rows)
+        return tuple(sum(r[k] * vec[k] for k in range(self.ncols)) for r in self.rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntegerMatrix) and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
+        return all(x == 0 for row in self.rows for x in row)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"IntegerMatrix([{body}])"
-
-
-def _trusted_matrix(rows: tuple[IntVec, ...]) -> IntegerMatrix:
-    """IntegerMatrix(rows) without ``__init__``: rows a nonempty tuple of int tuples."""
-    m = object.__new__(IntegerMatrix)
-    m._rows = rows
-    return m
 
 
 def _bareiss_forward(
@@ -229,10 +214,10 @@ def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
         piv += 1
     if not piv:
         # The column lattice is trivial; encode as a single zero column.
-        return _trusted_matrix(((0,),) * m.nrows)
+        return IntegerMatrix._trusted(((0,),) * m.nrows)
     # Rows from piv on are zero: every column either has a pivot or is
     # zero in all of them.
-    return _trusted_matrix(tuple(zip(*h[:piv])))
+    return IntegerMatrix._trusted(tuple(zip(*h[:piv])))
 
 
 def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[int]]:
@@ -347,7 +332,7 @@ def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
             if c:
                 v = [x - c * y for x, y in zip(v, s[j])]
         s.append(_divide_exactly(v, t[i][i]))
-    return column_hnf(_trusted_matrix(tuple(zip(*[v[::-1] for v in reversed(s)]))))
+    return column_hnf(IntegerMatrix._trusted(tuple(zip(*[v[::-1] for v in reversed(s)]))))
 
 
 def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:

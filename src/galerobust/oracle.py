@@ -50,17 +50,14 @@ def _column_span(rows, cs) -> range | None:
 def _fiber_walk(b: GaleConfiguration, v: tuple[int, ...]):
     """Yield v - B alpha for every integer alpha with B alpha <= v.
 
-    The polygon {alpha : B alpha <= v} is convex, contains alpha = 0 and is
-    bounded, as the configuration is graded.  Its columns a1 = 0, 1, ... and
-    then -1, -2, ... are walked up to the first one that misses it; one
-    meeting it in a real interval with no integer does not end the walk, as
-    a thin polygon can skip a column.  B's columns are Lagrange-reduced
+    The caller passes a nonnegative v of length n.  The polygon
+    {alpha : B alpha <= v} is convex, contains alpha = 0 and is bounded,
+    as the configuration is graded.  Its columns a1 = 0, 1, ... and then
+    -1, -2, ... are walked up to the first one that misses it; one
+    meeting it in a real interval with no integer does not end the walk,
+    as a thin polygon can skip a column.  B's columns are Lagrange-reduced
     first (same lattice, same fiber), so a shear of B does not lengthen it.
     """
-    if len(v) != b.n:
-        raise ValueError("target length does not match configuration size")
-    if any(x < 0 for x in v):
-        raise ValueError("target must be nonnegative")
     if not is_positively_graded(b):
         raise GradingError("fiber polygon is unbounded for ungraded configurations")
     rows = _lagrange_reduced_columns(*zip(*b.rows))

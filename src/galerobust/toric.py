@@ -44,8 +44,8 @@ class Binomial(_Value):
     representative per sign pair).  The public constructor stores both
     parts as int tuples and checks them all.  ``_trusted_binomials``
     splits nonzero int vectors into parts that meet every invariant by
-    construction and skips the checks.  Binomials are ordered by
-    (plus, minus).
+    construction and builds the binomials with ``Binomial._trusted_all``,
+    without the checks.  Binomials are ordered by (plus, minus).
     """
 
     __slots__ = ("plus", "minus")
@@ -62,8 +62,7 @@ class Binomial(_Value):
             raise ValueError("zero binomial")
         if plus <= minus:
             raise ValueError("not in canonical sign (plus must be lex-greater)")
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+        super().__init__(plus, minus)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -82,23 +81,18 @@ def _trusted_binomials(coords: list[list[int]]) -> list[Binomial]:
     takes one comprehension per coordinate rather than one per vector.
     The positive and negative parts of a nonzero vector meet every
     invariant of ``Binomial`` once the lex-greater one is ``plus``, so
-    the fields are set directly and ``__init__`` does not run.
-    ValueError if any vector is zero.
+    ``Binomial._trusted_all`` builds them column by column, without
+    ``__init__``.  ValueError if any vector is zero.
     """
-    pluses = zip(*[[x if x > 0 else 0 for x in c] for c in coords])
-    minuses = zip(*[[-x if x < 0 else 0 for x in c] for c in coords])
-    out = []
-    for plus, minus in zip(pluses, minuses):
+    pluses = list(zip(*[[x if x > 0 else 0 for x in c] for c in coords]))
+    minuses = list(zip(*[[-x if x < 0 else 0 for x in c] for c in coords]))
+    for k, (plus, minus) in enumerate(zip(pluses, minuses)):
         if plus <= minus:
             # Disjoint supports: the parts are equal only when both are zero.
             if plus == minus:
                 raise ValueError("zero vector yields no binomial")
-            plus, minus = minus, plus
-        binomial = object.__new__(Binomial)
-        object.__setattr__(binomial, "plus", plus)
-        object.__setattr__(binomial, "minus", minus)
-        out.append(binomial)
-    return out
+            pluses[k], minuses[k] = minus, plus
+    return Binomial._trusted_all(pluses, minuses)
 
 
 def variable_names(n: int, letters: bool = False) -> list[str]:
@@ -217,18 +211,10 @@ class RobustnessReport(_Value, uncompared=("gale", "reduced")):
                 "geometric criterion and direct Graver comparison disagree; "
                 "this indicates a bug, please report the input matrix"
             )
-        object.__setattr__(self, "strongly_robust", strongly_robust)
-        object.__setattr__(self, "graver", graver)
-        object.__setattr__(self, "indispensable", indispensable)
-        object.__setattr__(self, "h_union", h_union)
-        object.__setattr__(self, "h_core", h_core)
-        object.__setattr__(self, "bouquets", bouquets)
-        object.__setattr__(self, "mixed_count", mixed_count)
-        object.__setattr__(self, "centrally_symmetric", centrally_symmetric)
-        object.__setattr__(self, "complete_intersection", complete_intersection)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "gale", gale)
-        object.__setattr__(self, "reduced", reduced)
+        super().__init__(
+            strongly_robust, graver, indispensable, h_union, h_core, bouquets, mixed_count,
+            centrally_symmetric, complete_intersection, witness, gale, reduced,
+        )
 
 
 def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:

@@ -358,10 +358,6 @@ class FiberEnumeration(_Value):
 
     __slots__ = ("target", "points")
 
-    def __init__(self, target: tuple[int, ...], points: frozenset[tuple[int, ...]]):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "points", points)
-
 
 def enumerate_fiber(b, v) -> FiberEnumeration:
     """Fiber of a nonnegative vector v, by the oracle's column walk.

@@ -108,7 +108,6 @@ def test_configuration_rejects_zero_rows_and_small_n():
 def test_reduce_example_rows(example_matrix):
     reduced = reduce_configuration(gale_transform(example_matrix))
     assert reduced.rows == EXAMPLE_REDUCED_ROWS
-    assert reduced.index_map == (0, 1, 2, 3, 4, 5)
     assert reduced.angular_order == (3, 4, 5, 0, 1, 2)
 
 

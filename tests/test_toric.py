@@ -227,25 +227,20 @@ def test_hull_symmetry_example(example_matrix):
 
 
 def test_hull_symmetry_odd_triangle():
-    reduced = ReducedGaleConfiguration(
-        rows=((1, 0), (0, 1), (-1, -1)), index_map=(0, 1, 2), angular_order=(0, 1, 2)
-    )
+    reduced = ReducedGaleConfiguration(rows=((1, 0), (0, 1), (-1, -1)), angular_order=(0, 1, 2))
     assert not centrally_symmetric_hull(reduced)
 
 
 def test_hull_symmetry_cross():
     reduced = ReducedGaleConfiguration(
         rows=((1, 0), (-1, 0), (0, 1), (0, -1)),
-        index_map=(0, 1, 2, 3),
         angular_order=(0, 2, 1, 3),
     )
     assert centrally_symmetric_hull(reduced)
 
 
 def test_hull_degenerate():
-    reduced = ReducedGaleConfiguration(
-        rows=((1, 0), (2, 0), (3, 0)), index_map=(0, 1, 2), angular_order=(0, 1, 2)
-    )
+    reduced = ReducedGaleConfiguration(rows=((1, 0), (2, 0), (3, 0)), angular_order=(0, 1, 2))
     with pytest.raises(DegenerateError):
         centrally_symmetric_hull(reduced)
 

@@ -1,9 +1,10 @@
-"""Value semantics of the public record types, and of ``FiberEnumeration``
-(a reference in conftest on the same base class).
+"""Value semantics of the public record types, of ``IntegerMatrix`` and of
+``FiberEnumeration`` (a reference in conftest on the same base class).
 
 Each is immutable, compares and hashes by its fields (all of them but
 the provenance fields ``source``, ``gale`` and ``reduced``), prints as
-``Name(field=value, ...)`` and survives pickle and copy.
+``Name(field=value, ...)`` (``IntegerMatrix`` keeps its own form) and
+survives pickle and copy.
 """
 
 import copy
@@ -46,12 +47,16 @@ CASES = {
         lambda: gale_transform(IntegerMatrix(TWISTED_CUBIC)),
     ),
     "ReducedGaleConfiguration": (
-        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 1, 2), (0, 1, 2)),
-        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 1, 2), (0, 2, 1)),
+        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 1, 2)),
+        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 2, 1)),
     ),
     "Bouquet": (
         lambda: Bouquet(frozenset({0, 2}), (1, 0), True),
         lambda: Bouquet(frozenset({0, 2}), (1, 0), False),
+    ),
+    "IntegerMatrix": (
+        lambda: IntegerMatrix([[1, 2], [3, 4]]),
+        lambda: IntegerMatrix([[1, 2], [3, 5]]),
     ),
     "Cone2D": (
         lambda: Cone2D((1, 0), (1, 2)),
@@ -130,6 +135,29 @@ def test_fields_are_read_only(case):
 def test_repr():
     assert repr(Binomial((1, 0, 2), (0, 3, 0))) == "Binomial(plus=(1, 0, 2), minus=(0, 3, 0))"
     assert repr(Cone2D((1, 0), (1, 2))) == "Cone2D(a=(1, 0), b=(1, 2))"
+    assert repr(IntegerMatrix([[1, 2], [3, 4]])) == "IntegerMatrix([1 2; 3 4])"
+
+
+def test_integer_matrix_hashes_as_its_rows():
+    # So sets and dicts of matrices keep the order they had before.
+    assert hash(IntegerMatrix([[1, 2], [3, 4]])) == hash(((1, 2), (3, 4)))
+
+
+def test_fields_by_position_or_name():
+    members, direction = frozenset({0, 2}), (1, 0)
+    q = Bouquet(members, direction, True)
+    assert (q.members, q.direction, q.mixed) == (members, direction, True)
+    assert q == Bouquet(members, direction=direction, mixed=True)
+    assert q == Bouquet(mixed=True, direction=direction, members=members)
+    for build in (
+        lambda: Bouquet(members, direction),
+        lambda: Bouquet(members=members, mixed=True),
+        lambda: Bouquet(members, direction, True, 0),
+        lambda: Bouquet(members, direction, colour=True),
+        lambda: Bouquet(members, direction, True, members=members),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_binomials_sort_by_plus_then_minus():
@@ -162,7 +190,7 @@ def test_binomial_constructor_stores_int_tuples():
         lambda: GaleConfiguration(((2.5, 1), (-1, 1), (-1, -2))),
         lambda: enumerate_fiber(GaleConfiguration(EXAMPLE_GALE_ROWS), [1.5, 0, 0, 0, 0, 0]),
         lambda: centrally_symmetric_hull(
-            ReducedGaleConfiguration(((1.5, 0), (0, 1), (-1, 0), (0, -1)), (0, 1, 2, 3), (1, 2, 3, 0))
+            ReducedGaleConfiguration(((1.5, 0), (0, 1), (-1, 0), (0, -1)), (1, 2, 3, 0))
         ),
     ],
     ids=["Binomial", "from_vector", "binomial_from_gale", "Cone2D", "GaleConfiguration",
