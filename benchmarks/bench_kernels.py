@@ -20,7 +20,11 @@ the acceptance suite, the median microseconds per problem (best of N)
 of the plain fan union, the half-turn of the symmetrized fan read off
 that union, and the Graver binomials built from it in one batch (one
 per half-turn vector), and the median microseconds per Graver element
-(best of N) of the fiber oracle ``is_indispensable_oracle``.  Last, the median wall milliseconds
+(best of N) of the fiber oracle ``is_indispensable_oracle``.  Then a
+least-squares line through the microseconds per call of
+``is_strongly_robust`` (best of N, ten calls each) against the Graver
+basis size on those 100 problems: its intercept is the cost every call
+pays, its slope the cost per Graver element.  Last, the median wall milliseconds
 of ``python -m galerobust <cmd>`` on ``tests/data/example_4x6.mat`` for
 each subcommand, over CLI_RUNS fresh processes: start-up and imports
 included, since a subcommand loads only the modules it runs.  Two floor
@@ -42,6 +46,10 @@ import tempfile
 import time
 from pathlib import Path
 
+# Import the package from src/ beside this script, so that no install or
+# PYTHONPATH is needed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 import galerobust
 from galerobust import (
     IntegerMatrix,
@@ -50,6 +58,7 @@ from galerobust import (
     gale_transform,
     is_indispensable_oracle,
     is_positively_graded,
+    is_strongly_robust,
     kernel_lattice_basis,
     rank,
     reduce_configuration,
@@ -204,6 +213,21 @@ def bench_fan_layers(repeat):
         print(f"{name:<30} {statistics.median(times):>12.1f}")
 
 
+def bench_decide_fit(repeat):
+    sizes, micros = [], []
+    for b in _fan_problems(100, seed=20260810):
+        a = b.source
+        sizes.append(len(is_strongly_robust(a).graver))
+        t = _time(lambda: [is_strongly_robust(a) for _ in range(10)], repeat) / 10
+        micros.append(t * 1e6)
+    slope, intercept = statistics.linear_regression(sizes, micros)
+    print("is_strongly_robust: the same 100 problems, time per call against Graver size")
+    print(f"{'fit':<30} {'value':>12}")
+    print(f"{'mean (us per call)':<30} {statistics.mean(micros):>12.1f}")
+    print(f"{'intercept (us per call)':<30} {intercept:>12.1f}")
+    print(f"{'slope (us per Graver element)':<30} {slope:>12.2f}")
+
+
 CLI_RUNS = 9
 CLI_COMMANDS = ("check", "graver", "indispensable", "markov", "bouquets", "gale", "oracle", "plot")
 
@@ -248,6 +272,8 @@ def main():
     bench_gale_stages(args.repeat)
     print()
     bench_fan_layers(args.repeat)
+    print()
+    bench_decide_fit(args.repeat)
     print()
     bench_cli()
 

@@ -164,7 +164,7 @@ def _run_oracle_comparison(
     report: RobustnessReport, radius: int | None, letters: bool
 ) -> dict:
     from .hilbert import fan_radius_bound
-    from .oracle import SHELL_WIDTH, graver_bruteforce, is_indispensable_oracle
+    from .oracle import SHELL_WIDTH, _indispensable_among, graver_bruteforce
 
     b = report.gale
     if radius is None:
@@ -175,7 +175,7 @@ def _run_oracle_comparison(
         brute = graver_bruteforce(b, radius)
     for w in caught:
         print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
-    indisp_oracle = frozenset(x for x in brute if is_indispensable_oracle(b, x))
+    indisp_oracle = _indispensable_among(b, brute)
     return {
         "radius": radius,
         "bruteforce_graver": _binomial_list(brute, letters),

@@ -125,7 +125,7 @@ def _lagrange_reduced_columns(
     w = [c * x + d * y for x, y in zip(c0, c1)]
 
     def sign_fix(x):
-        lead = next((t for t in x if t != 0), 0)
+        lead = next(filter(None, x), 0)
         return [-t for t in x] if lead < 0 else x
 
     v, w = sign_fix(v), sign_fix(w)
@@ -161,12 +161,11 @@ def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
     for (x, y) in b.rows:
         g = gcd(abs(x), abs(y))
         reduced.append((-y // g, x // g))
-    # A stable sort: rows of equal angle stay in index order.
-    order = sorted(
-        range(len(reduced)),
-        key=functools.cmp_to_key(lambda i, j: planar.angle_cmp(reduced[i], reduced[j])),
-    )
-    return ReducedGaleConfiguration(rows=tuple(reduced), angular_order=tuple(order))
+    # A stable sort: rows of equal angle stay in index order.  Each row's
+    # comparator key is made once, so a comparison runs angle_cmp alone.
+    keys = list(map(functools.cmp_to_key(planar.angle_cmp), reduced))
+    order = sorted(range(len(reduced)), key=keys.__getitem__)
+    return ReducedGaleConfiguration._trusted(tuple(reduced), tuple(order))
 
 
 def is_positively_graded(b: GaleConfiguration) -> bool:

@@ -15,6 +15,7 @@ the plain union, holds each ± pair once.
 from __future__ import annotations
 
 import bisect
+from math import gcd
 from operator import index
 
 from . import planar
@@ -50,7 +51,14 @@ class Cone2D(_Value):
 
 
 class HilbertBasisSet(_Value):
-    """Union of the Hilbert bases of a fan, with per-vector provenance."""
+    """Union of the Hilbert bases of a fan, with per-vector provenance.
+
+    ``vectors`` run counterclockwise from angle 0.  ``provenance`` pairs
+    each vector with the indices of the ``cones`` whose basis holds it:
+    (i,) inside cone i's chain, (i, i+1) on the generator cones i and
+    i+1 share, and (0, last) on the first direction, which the last cone
+    shares with cone 0.
+    """
 
     __slots__ = ("vectors", "provenance", "cones")
 
@@ -70,12 +78,15 @@ def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
     when det(a, b) = 1.
     """
     a, b = cone.a, cone.b
+    a0, a1 = a
+    b0, b1 = b
     # cross(a, (-t, s)) = s*a0 + t*a1 = 1; shifting along a by k puts
     # cross(v1, b) into [0, det).
-    _, s, t = _xgcd(a[0], a[1])
-    r_prev = cross(a, b)
-    k, r_cur = divmod(cross((-t, s), b), r_prev)
-    prev, cur = a, (-t - k * a[0], s - k * a[1])
+    _, s, t = _xgcd(a0, a1)
+    # r_prev = cross(a, b) and divmod(cross((-t, s), b), r_prev).
+    r_prev = a0 * b1 - a1 * b0
+    k, r_cur = divmod(-t * b1 - s * b0, r_prev)
+    prev, cur = a, (-t - k * a0, s - k * a1)
     basis = [a, cur]
     while r_cur:
         c = -(-r_prev // r_cur)
@@ -94,9 +105,12 @@ def _fan_cones(dirs: tuple[Vec2, ...]) -> list[Cone2D]:
     for d, nxt in zip(dirs, nexts):
         # One primitivity check per direction; the cross product below is
         # the counterclockwise check, so the cones are built trusted.
-        if not planar.is_primitive(d):
+        x, y = d
+        # planar.is_primitive(d).
+        if gcd(x, y) != 1:
             raise ValueError("cone generators must be primitive")
-        if cross(d, nxt) <= 0:
+        # cross(d, nxt) <= 0.
+        if x * nxt[1] - y * nxt[0] <= 0:
             raise GradingError(
                 f"consecutive directions {d} and {nxt} span an angle >= pi; "
                 "the configuration is not positively graded"
@@ -113,21 +127,26 @@ def _union_in_walk_order(cones: list[Cone2D], chains) -> HilbertBasisSet:
     its vectors from there on (half 0) move to the front, which gives the
     angular order from 0 without sorting: Hilbert basis elements are
     primitive, so no two share an angle.
+
+    Each vector's provenance label lists the cones whose basis holds it:
+    (i,) inside chain i, (i, i+1) on the generator that cones i and i+1
+    share, and (0, last) on dirs[0], where the last cone meets cone 0.
+    The labels are built per chain, a repeated (i,) and one shared label,
+    and zipped with the vectors once.
     """
     last = len(cones) - 1
     vectors: list[Vec2] = []
-    provenance: list[tuple[Vec2, tuple[int, ...]]] = []
+    labels: list[tuple[int, ...]] = []
     for i, chain in enumerate(chains):
         vectors.extend(chain[1:])
-        provenance.extend((v, (i,)) for v in chain[1:-1])
-        provenance.append((chain[-1], (i, i + 1) if i < last else (0, last)))
+        labels.extend([(i,)] * (len(chain) - 2))
+        labels.append((i, i + 1) if i < last else (0, last))
     split = len(vectors)
     while planar._half(vectors[split - 1]) == 0:
         split -= 1
-    return HilbertBasisSet(
-        vectors=tuple(vectors[split:] + vectors[:split]),
-        provenance=tuple(provenance[split:] + provenance[:split]),
-        cones=tuple(cones),
+    vectors = vectors[split:] + vectors[:split]
+    return HilbertBasisSet._trusted(
+        tuple(vectors), tuple(zip(vectors, labels[split:] + labels[:split])), tuple(cones)
     )
 
 
@@ -140,7 +159,7 @@ def fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
     which happens exactly when the configuration is not positively graded.
     """
     cones = _fan_cones(config.distinct_directions())
-    return _union_in_walk_order(cones, [hilbert_basis(c) for c in cones])
+    return _union_in_walk_order(cones, list(map(hilbert_basis, cones)))
 
 
 def _half_merge(vectors: tuple[Vec2, ...]) -> list[Vec2]:
@@ -152,10 +171,16 @@ def _half_merge(vectors: tuple[Vec2, ...]) -> list[Vec2]:
     lower = [(-x, -y) for x, y in vectors[split:]]
     merged: list[Vec2] = []
     j = 0
+    k = len(lower)
     for u in vectors[:split]:
-        while j < len(lower) and cross(lower[j], u) >= 0:
-            if lower[j] != u:
-                merged.append(lower[j])
+        ux, uy = u
+        while j < k:
+            w = lower[j]
+            # cross(w, u) >= 0: w is not past u.
+            if w[0] * uy - w[1] * ux < 0:
+                break
+            if w != u:
+                merged.append(w)
             j += 1
         merged.append(u)
     return merged + lower[j:]
@@ -179,7 +204,8 @@ def symmetrized_half_turn(union: HilbertBasisSet) -> list[Vec2]:
     merged = _half_merge(union.vectors)
     half: list[Vec2] = []
     for p, q in zip(merged, merged[1:] + [(-merged[0][0], -merged[0][1])]):
-        if cross(p, q) > 1:
+        # cross(p, q) > 1: a gap that holds more basis vectors.
+        if p[0] * q[1] - p[1] * q[0] > 1:
             half.extend(hilbert_basis(Cone2D._trusted(p, q))[1:-1])
         half.append(q)
     return half
@@ -192,7 +218,7 @@ def symmetric_core(h: HilbertBasisSet) -> tuple[Vec2, ...]:
     counterclockwise order.
     """
     have = set(h.vectors)
-    return tuple(v for v in h.vectors if (-v[0], -v[1]) in have)
+    return tuple([v for v in h.vectors if (-v[0], -v[1]) in have])
 
 
 def fan_radius_bound(config: ReducedGaleConfiguration) -> int:

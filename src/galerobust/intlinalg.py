@@ -146,10 +146,11 @@ def _bareiss_forward(
         r = len(pivots)
         if r == nr:
             break
-        sel = next((i for i in range(r, nr) if a[i][col] != 0), None)
-        if sel is None:
-            continue
-        if sel != r:
+        # Row r itself is the usual pivot row; search below it only if not.
+        if a[r][col] == 0:
+            sel = next((i for i in range(r + 1, nr) if a[i][col] != 0), None)
+            if sel is None:
+                continue
             a[r], a[sel] = a[sel], [-x for x in a[r]]
         prow = a[r]
         p = prow[col]
@@ -264,10 +265,10 @@ def _inexact(d: int) -> ConsistencyError:
 
 def _divide_exactly(v: list[int], d: int) -> list[int]:
     """v / d entrywise; the lattice argument of the caller says it is exact."""
-    q = [divmod(x, d) for x in v]
-    if any(rem for _, rem in q):
+    q, rem = zip(*map(divmod, v, [d] * len(v)))
+    if any(rem):
         raise _inexact(d)
-    return [x for x, _ in q]
+    return list(q)
 
 
 def _back_substitute(

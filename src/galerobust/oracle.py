@@ -47,20 +47,29 @@ def _column_span(rows, cs) -> range | None:
     return range(-(-lo_n // lo_d), hi_n // hi_d + 1)
 
 
-def _fiber_walk(b: GaleConfiguration, v: tuple[int, ...]):
-    """Yield v - B alpha for every integer alpha with B alpha <= v.
+def _fiber_rows(b: GaleConfiguration) -> tuple[tuple[int, int], ...]:
+    """The rows ``_fiber_walk`` walks B by: B's columns, Lagrange-reduced.
 
-    The caller passes a nonnegative v of length n.  The polygon
-    {alpha : B alpha <= v} is convex, contains alpha = 0 and is bounded,
-    as the configuration is graded.  Its columns a1 = 0, 1, ... and then
-    -1, -2, ... are walked up to the first one that misses it; one
-    meeting it in a real interval with no integer does not end the walk,
-    as a thin polygon can skip a column.  B's columns are Lagrange-reduced
-    first (same lattice, same fiber), so a shear of B does not lengthen it.
+    The reduced columns span the same lattice, so they give the same
+    fibers, and a shear of B does not lengthen a walk.  Raises
+    GradingError unless B is positively graded: a fiber polygon is then
+    unbounded.
     """
     if not is_positively_graded(b):
         raise GradingError("fiber polygon is unbounded for ungraded configurations")
-    rows = _lagrange_reduced_columns(*zip(*b.rows))
+    return _lagrange_reduced_columns(*zip(*b.rows))
+
+
+def _fiber_walk(rows: tuple[tuple[int, int], ...], v: tuple[int, ...]):
+    """Yield v - B alpha for every integer alpha with B alpha <= v.
+
+    ``rows`` are ``_fiber_rows(b)``; the caller passes a nonnegative v of
+    length n.  The polygon {alpha : B alpha <= v} is convex, contains
+    alpha = 0 and is bounded, as the configuration is graded.  Its
+    columns a1 = 0, 1, ... and then -1, -2, ... are walked up to the
+    first one that misses it; one meeting it in a real interval with no
+    integer does not end the walk, as a thin polygon can skip a column.
+    """
     for a1s in count(0), count(-1, -1):
         for a1 in a1s:
             cs = [t - p * a1 for (p, _), t in zip(rows, v)]
@@ -78,13 +87,31 @@ def is_indispensable_oracle(b: GaleConfiguration, binomial: Binomial) -> bool:
     that are not both zero; here it must also have length n, and
     plus - minus must be a kernel vector of the configuration.
     """
-    plus, minus = binomial.plus, binomial.minus
-    if len(plus) != b.n:
-        raise ValueError("binomial length does not match configuration size")
-    if _solve_in_kernel(b, binomial.vector) is None:
-        raise ValueError("plus - minus is not a kernel vector of the configuration")
-    # The fiber holds plus and minus; a third point decides the answer.
-    return set(islice(_fiber_walk(b, plus), 3)) == {plus, minus}
+    return bool(_indispensable_among(b, (binomial,)))
+
+
+def _indispensable_among(b: GaleConfiguration, binomials) -> frozenset[Binomial]:
+    """The members of ``binomials`` whose plus part has the fiber {plus, minus}.
+
+    Each binomial is checked as ``is_indispensable_oracle`` states, in
+    iteration order, and the first bad one raises; B's grading is
+    checked and its columns reduced once, at the first binomial, for all
+    of them.
+    """
+    rows = None
+    kept = []
+    for x in binomials:
+        plus, minus = x.plus, x.minus
+        if len(plus) != b.n:
+            raise ValueError("binomial length does not match configuration size")
+        if _solve_in_kernel(b, x.vector) is None:
+            raise ValueError("plus - minus is not a kernel vector of the configuration")
+        if rows is None:
+            rows = _fiber_rows(b)
+        # The fiber holds plus and minus; a third point decides the answer.
+        if set(islice(_fiber_walk(rows, plus), 3)) == {plus, minus}:
+            kept.append(x)
+    return frozenset(kept)
 
 
 def _solve_in_kernel(b: GaleConfiguration, z):

@@ -33,10 +33,15 @@ def _half(v: Sequence[int]) -> int:
 
 def angle_cmp(u: Sequence[int], v: Sequence[int]) -> int:
     """Compare two nonzero vectors by angle in [0, 2*pi), exactly."""
-    hu, hv = _half(u), _half(v)
+    ux, uy = u
+    vx, vy = v
+    # _half(u) and _half(v): 0 for angles in [0, pi), 1 for [pi, 2*pi).
+    hu = 0 if uy > 0 or (uy == 0 and ux > 0) else 1
+    hv = 0 if vy > 0 or (vy == 0 and vx > 0) else 1
     if hu != hv:
         return -1 if hu < hv else 1
-    c = cross(u, v)
+    # cross(u, v).
+    c = ux * vy - uy * vx
     if c > 0:
         return -1
     if c < 0:
@@ -58,10 +63,12 @@ def convex_hull(points: Iterable[Sequence[int]]) -> list[Vec2]:
     def half_chain(seq: list[Vec2]) -> list[Vec2]:
         chain: list[Vec2] = []
         for p in seq:
-            while len(chain) >= 2 and cross(
-                (chain[-1][0] - chain[-2][0], chain[-1][1] - chain[-2][1]),
-                (p[0] - chain[-1][0], p[1] - chain[-1][1]),
-            ) <= 0:
+            px, py = p
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                # cross(b - a, p - b) > 0: a left turn at b keeps b.
+                if (bx - ax) * (py - by) - (by - ay) * (px - bx) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain

@@ -165,7 +165,7 @@ def centrally_symmetric_hull(config: ReducedGaleConfiguration) -> bool:
     if len(hull) < 3:
         raise DegenerateError("convex hull of the reduced rows is not 2-dimensional")
     verts = set(hull)
-    return all((-v[0], -v[1]) in verts for v in verts)
+    return verts == {(-x, -y) for x, y in verts}
 
 
 class RobustnessReport(_Value, uncompared=("gale", "reduced")):
@@ -249,16 +249,16 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     half = symmetrized_half_turn(union)
     graver_by_u = dict(zip(half, _gale_binomials(b, half)))
     graver = frozenset(graver_by_u.values())
+    indisp = [graver_by_u[u] for u in core if u in graver_by_u]
     missing = [u for u in core if u not in graver_by_u and (-u[0], -u[1]) not in graver_by_u]
-    indisp = frozenset(
-        [graver_by_u[u] for u in core if u in graver_by_u] + _gale_binomials(b, missing)
-    )
+    if missing:
+        indisp += _gale_binomials(b, missing)
 
     bqs = tuple(bouquets(b))
     return RobustnessReport(
         strongly_robust=witness is None,
         graver=graver,
-        indispensable=indisp,
+        indispensable=frozenset(indisp),
         h_union=union,
         h_core=core,
         bouquets=bqs,

@@ -25,8 +25,8 @@ from galerobust._value import _Value
 from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
 from galerobust.intlinalg import _bareiss_forward, _xgcd, column_hnf
-from galerobust.oracle import _fiber_walk
-from galerobust.planar import angle_cmp, convex_hull, cross
+from galerobust.oracle import _fiber_rows, _fiber_walk
+from galerobust.planar import cross
 from galerobust.toric import _gale_binomials, _trusted_binomials
 
 DATA = Path(__file__).parent / "data"
@@ -81,6 +81,58 @@ def sign_canonical(v) -> tuple[int, int]:
     if x < 0 or (x == 0 and y < 0):
         return (-x, -y)
     return (x, y)
+
+
+def _reference_half(v) -> int:
+    # 0 for angles in [0, pi), 1 for [pi, 2*pi).
+    x, y = v
+    if y > 0 or (y == 0 and x > 0):
+        return 0
+    return 1
+
+
+def reference_angle_cmp(u, v) -> int:
+    """Angular comparison of nonzero vectors in [0, 2*pi), by half-plane and cross.
+
+    The form ``planar.angle_cmp`` had before its arithmetic was written
+    inline: the half-plane of each vector, then the sign of cross(u, v).
+    """
+    hu, hv = _reference_half(u), _reference_half(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    c = cross(u, v)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
+
+
+def reference_convex_hull(points) -> list[tuple[int, int]]:
+    """Monotone-chain hull vertices, counterclockwise, by tuple differences.
+
+    The form ``planar.convex_hull`` had before its turn test was written
+    inline: each test builds the two difference vectors and calls cross.
+    """
+    pts = sorted({(index(p[0]), index(p[1])) for p in points})
+    if len(pts) <= 2:
+        return pts
+
+    def half_chain(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(
+                (chain[-1][0] - chain[-2][0], chain[-1][1] - chain[-2][1]),
+                (p[0] - chain[-1][0], p[1] - chain[-1][1]),
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = half_chain(pts)[:-1] + half_chain(pts[::-1])[:-1]
+    if len(hull) <= 2:
+        return [pts[0], pts[-1]]
+    return hull
 
 
 def lattices_equal(m1: IntegerMatrix, m2: IntegerMatrix) -> bool:
@@ -238,7 +290,9 @@ def reference_is_positively_graded(b: GaleConfiguration) -> bool:
     requires every counterclockwise gap between neighbours to be below
     pi.
     """
-    dirs = sorted({primitive(row) for row in b.rows}, key=functools.cmp_to_key(angle_cmp))
+    dirs = sorted(
+        {primitive(row) for row in b.rows}, key=functools.cmp_to_key(reference_angle_cmp)
+    )
     if len(dirs) < 2:
         return False
     for i, d in enumerate(dirs):
@@ -367,7 +421,7 @@ def enumerate_fiber(b, v) -> FiberEnumeration:
     GradingError for ungraded configurations.
     """
     vt = tuple(map(index, v))
-    return FiberEnumeration(target=vt, points=frozenset(_fiber_walk(b, vt)))
+    return FiberEnumeration(target=vt, points=frozenset(_fiber_walk(_fiber_rows(b), vt)))
 
 
 def reference_enumerate_fiber(b, v) -> frozenset[tuple[int, ...]]:
@@ -429,7 +483,7 @@ def reference_fan_union(dirs) -> HilbertBasisSet:
     for idx, cone in enumerate(cones):
         for v in hilbert_basis(cone):
             prov.setdefault(v, []).append(idx)
-    vectors = tuple(sorted(prov, key=functools.cmp_to_key(angle_cmp)))
+    vectors = tuple(sorted(prov, key=functools.cmp_to_key(reference_angle_cmp)))
     return HilbertBasisSet(
         vectors=vectors,
         provenance=tuple((v, tuple(prov[v])) for v in vectors),
@@ -440,7 +494,7 @@ def reference_fan_union(dirs) -> HilbertBasisSet:
 def reference_symmetric_directions(config) -> tuple[tuple[int, int], ...]:
     """The distinct directions of {±rows}, by an exact angle sort."""
     doubled = set(config.rows) | {(-x, -y) for x, y in config.rows}
-    return tuple(sorted(doubled, key=functools.cmp_to_key(angle_cmp)))
+    return tuple(sorted(doubled, key=functools.cmp_to_key(reference_angle_cmp)))
 
 
 def reference_half_turn(config) -> list[tuple[int, int]]:
@@ -552,7 +606,7 @@ def hilbert_basis_visible(cone):
     parallelepiped, so it suits small cones only.
     """
     pts = _cone_parallelepiped_points(cone)
-    hull = convex_hull(pts)
+    hull = reference_convex_hull(pts)
     out = set()
     k = len(hull)
     for i in range(k):

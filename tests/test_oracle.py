@@ -17,10 +17,12 @@ from galerobust import (
     is_positively_graded,
     reduce_configuration,
 )
-from galerobust.oracle import SHELL_WIDTH, _box_scan, _column_span
+from galerobust.matrixio import load_matrix
+from galerobust.oracle import SHELL_WIDTH, _box_scan, _column_span, _indispensable_among
 from galerobust.toric import Binomial
 
 from conftest import (
+    DATA,
     binomial_from_gale,
     enumerate_fiber,
     random_valid_instances,
@@ -234,3 +236,29 @@ def test_oracle_indispensable_agrees_on_random_instances():
         graver = graver_basis(m)
         via_oracle = frozenset(x for x in graver if is_indispensable_oracle(b, x))
         assert via_oracle == indispensable_set(m)
+
+
+def test_batched_indispensability_matches_per_binomial_calls():
+    # The CLI's oracle checks B's grading and reduces it once for all of
+    # its binomials; the answers must be those of one call per binomial.
+    bundled = [load_matrix(str(DATA / f)) for f in ("example_4x6.mat", "twisted_cubic.mat")]
+    for m in bundled + random_valid_instances(20, seed=20260810):
+        b = gale_transform(m)
+        graver = graver_basis(m)
+        per_call = frozenset(x for x in graver if is_indispensable_oracle(b, x))
+        assert _indispensable_among(b, graver) == per_call
+
+
+def test_batched_indispensability_raises_as_per_binomial_calls(example_matrix):
+    b = gale_transform(example_matrix)
+    non_kernel = Binomial((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="not a kernel vector"):
+        _indispensable_among(b, [non_kernel])
+    ungraded = GaleConfiguration(rows=((1, 0), (0, 1), (1, 1)))
+    valid = binomial_from_gale(ungraded, (1, 0))
+    with pytest.raises(GradingError):
+        is_indispensable_oracle(ungraded, valid)
+    with pytest.raises(GradingError):
+        _indispensable_among(ungraded, [valid])
+    # No binomial, no call: nothing is checked.
+    assert _indispensable_among(ungraded, []) == frozenset()
