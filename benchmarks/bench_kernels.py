@@ -47,8 +47,10 @@ import time
 from pathlib import Path
 
 # Import the package from src/ beside this script, so that no install or
-# PYTHONPATH is needed.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# PYTHONPATH is needed, and the kernel generator from the tests' conftest.
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
 
 import galerobust
 from galerobust import (
@@ -59,7 +61,6 @@ from galerobust import (
     is_indispensable_oracle,
     is_positively_graded,
     is_strongly_robust,
-    kernel_lattice_basis,
     rank,
     reduce_configuration,
 )
@@ -68,6 +69,8 @@ from galerobust.intlinalg import _bareiss_forward, _planar_kernel
 from galerobust.hilbert import symmetrized_half_turn
 from galerobust.oracle import _box_scan
 from galerobust.toric import _gale_binomials
+
+from conftest import kernel_lattice_basis, transpose
 
 
 def _random_rows(rng, n, bound):
@@ -107,7 +110,7 @@ def _kernel_of_gale_rows(rng, n):
     while True:
         bt = IntegerMatrix(list(zip(*_random_rows(rng, n, 9))))
         if rank(bt) == 2:
-            return kernel_lattice_basis(bt).transpose()
+            return transpose(kernel_lattice_basis(bt))
 
 
 def bench_gale_transform():
@@ -233,7 +236,7 @@ CLI_COMMANDS = ("check", "graver", "indispensable", "markov", "bouquets", "gale"
 
 
 def bench_cli():
-    example = Path(__file__).resolve().parent.parent / "tests" / "data" / "example_4x6.mat"
+    example = ROOT / "tests" / "data" / "example_4x6.mat"
     package = Path(galerobust.__file__).resolve().parent
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))

@@ -45,7 +45,6 @@ _HOMES = {
     ),
     "intlinalg": (
         "IntegerMatrix",
-        "kernel_lattice_basis",
         "rank",
     ),
     "oracle": (

@@ -87,8 +87,8 @@ def _bouquet_section(qs) -> dict:
 
 
 def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) -> dict:
-    # A complete intersection has an empty core, hence no indispensable
-    # binomials, so its Markov list comes out empty too.
+    # The Markov list is the indispensable set, as in toric.markov_basis,
+    # which says when that set falls short of generating the ideal.
     indispensable = _binomial_list(report.indispensable, letters)
     return {
         **_head(m),

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
-from .intlinalg import IntegerMatrix, _planar_kernel, column_hnf
+from .intlinalg import IntegerMatrix, _planar_hnf, _planar_kernel
 from .planar import Vec2
 
 
@@ -45,10 +45,6 @@ class GaleConfiguration(_Value, uncompared=("source",)):
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def kernel_vector(self, u: tuple[int, int]) -> tuple[int, ...]:
-        """The kernel element B @ u of the ambient lattice Z^n."""
-        return tuple(r[0] * u[0] + r[1] * u[1] for r in self.rows)
 
 
 def _zero_row_error(i: int) -> ZeroRowError:
@@ -98,7 +94,7 @@ def _lagrange_reduced_columns(
     to sign and order, so the result depends only on the lattice, except
     on a tie, 2|v.w| = |v|^2, where w and w -+ v are equally short and
     the result depends on the input basis.  With ``settle_ties`` a tie
-    restarts the reduction on the columns of ``column_hnf``, the
+    restarts the reduction on ``intlinalg._planar_hnf(c0, c1)``, the
     canonical basis of the lattice, so the result is a function of the
     lattice alone.
     """
@@ -119,8 +115,7 @@ def _lagrange_reduced_columns(
         else:
             break
     if settle_ties and 2 * abs(t) == nv:
-        h = column_hnf(IntegerMatrix._trusted(tuple(zip(c0, c1))))
-        return _lagrange_reduced_columns(h.column(0), h.column(1))
+        return _lagrange_reduced_columns(*_planar_hnf(c0, c1))
     v = [a * x + b * y for x, y in zip(c0, c1)]
     w = [c * x + d * y for x, y in zip(c0, c1)]
 
@@ -138,9 +133,10 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     """Gale configuration of a matrix with corank exactly 2.
 
     ``intlinalg._planar_kernel`` spans the saturated kernel with two
-    columns; their Lagrange reduction, ties settled by ``column_hnf``, is
-    the canonical shortest planar basis whose rows are read off, so the
-    configuration is a deterministic function of the kernel of A.
+    columns; their Lagrange reduction, ties settled by the planar Hermite
+    form ``intlinalg._planar_hnf``, is the canonical shortest planar
+    basis whose rows are read off, so the configuration is a
+    deterministic function of the kernel of A.
     Raises RankError when rank(A) is not ncols - 2, before any back
     substitution, and ZeroRowError when some variable occurs in no
     kernel vector.

@@ -1,20 +1,16 @@
-"""Exact integer linear algebra: rank, Hermite normal form, kernel lattices.
+"""Exact integer linear algebra for corank 2: rank, planar kernel, planar HNF.
 
-Rank, determinant and kernels come from one forward fraction-free
-(Bareiss) elimination: it updates only the rows below each pivot, and
-every division in it is exact by Sylvester's identity, so its entries
-are minors of the input and never swell beyond the Hadamard bound.
-Back substitution in the echelon form, with exact division, gives a
-kernel basis of full rank that may miss lattice points; one triangular
-solve against a basis of its column lattice, found modulo the last
-pivot, saturates it.  In `kernel_lattice_basis` (any corank), run
-from the last column to the first, this leaves that basis in echelon
-form, so its canonical Hermite form costs only the reduction above the
-pivots.  The Gale path takes `_planar_kernel` instead: it checks the
-rank right after the elimination, before any back substitution, and
-saturates the two kernel vectors with one Hermite basis of a lattice in
-Z^2, leaving canonical form to the caller.  `column_hnf` is the one
-Hermite normal form here; it carries no unimodular transform.
+Rank and kernel come from one forward fraction-free (Bareiss)
+elimination: it updates only the rows below each pivot, and every
+division in it is exact by Sylvester's identity, so its entries are
+minors of the input and never swell beyond the Hadamard bound.
+`_planar_kernel` checks the rank right after the elimination, before
+any back substitution.  Back substitution in the echelon form, with
+exact division, gives two kernel vectors that span the rational kernel
+but may miss lattice points; one Hermite basis of a lattice in Z^2,
+found modulo the last pivot, saturates them.  That basis is not
+canonical; `_planar_hnf`, the Hermite normal form of a lattice spanned
+by two columns, is.  It carries no unimodular transform.
 
 All arithmetic uses unbounded Python integers, so results are exact for
 inputs of any magnitude; overflow cannot occur.  Matrices are immutable
@@ -29,9 +25,6 @@ from typing import Iterable, Sequence
 
 from ._value import _Value
 from .errors import ConsistencyError, RankError
-
-IntVec = tuple[int, ...]
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
@@ -52,11 +45,8 @@ class IntegerMatrix(_Value):
     """Immutable dense matrix over the integers, a value keyed by its rows.
 
     Entries are validated to be plain Python ints (bools are rejected) so
-    every operation stays exact.  Matrices must have at least one row;
-    zero-column matrices are permitted because kernels of full-rank maps
-    are legitimately trivial.  ``IntegerMatrix._trusted`` wraps rows the
-    library computed itself, a nonempty tuple of int tuples, and skips
-    these checks.
+    every operation stays exact.  Matrices must have at least one row,
+    so that ``ncols`` is defined; the rows may be empty.
     """
 
     __slots__ = ("rows",)
@@ -78,10 +68,6 @@ class IntegerMatrix(_Value):
             raise ValueError("matrix needs at least one row")
         super().__init__(tuple(packed))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -89,36 +75,6 @@ class IntegerMatrix(_Value):
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def row(self, i: int) -> IntVec:
-        return self.rows[i]
-
-    def column(self, j: int) -> IntVec:
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "IntegerMatrix":
-        if not self.ncols:
-            raise ValueError("matrix needs at least one row")
-        return IntegerMatrix._trusted(tuple(zip(*self.rows)))
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"shape mismatch: ({self.nrows}x{self.ncols}) @ ({other.nrows}x{other.ncols})"
-            )
-        cols = tuple(zip(*other.rows))
-        return IntegerMatrix._trusted(
-            tuple(tuple([sum(map(mul, r, c)) for c in cols]) for r in self.rows)
-        )
-
-    def apply(self, vec: Sequence[int]) -> IntVec:
-        """Matrix-vector product M @ v as a tuple."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(r[k] * vec[k] for k in range(self.ncols)) for r in self.rows)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -173,90 +129,6 @@ def rank(m: IntegerMatrix) -> int:
     return len(_bareiss_forward(list(m.rows), m.ncols)[0])
 
 
-def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
-    """Canonical basis of the column lattice of M, as matrix columns.
-
-    The nonzero rows of the row Hermite normal form of M^T, transposed:
-    pivots positive, entries above each pivot reduced into [0, pivot).
-    Each column is cleared below its pivot by unimodular 2x2 steps on
-    row pairs; no transform is carried.  Two matrices have equal column
-    lattices iff their column_hnf forms are identical, which makes this
-    a convenient lattice equality test.
-    """
-    h = [list(c) for c in zip(*m.rows)]
-    nr = len(h)
-    piv = 0
-    for col in range(m.nrows):
-        if piv >= nr:
-            break
-        sel = next((r for r in range(piv, nr) if h[r][col] != 0), None)
-        if sel is None:
-            continue
-        if sel != piv:
-            h[piv], h[sel] = h[sel], h[piv]
-        for r in range(piv + 1, nr):
-            if h[r][col] == 0:
-                continue
-            a, b = h[piv][col], h[r][col]
-            g, s, t = _xgcd(a, b)
-            p, q = a // g, b // g
-            # Unimodular 2x2 transform on rows (piv, r); det = s*p + t*q = 1.
-            h[piv], h[r] = (
-                [s * x + t * y for x, y in zip(h[piv], h[r])],
-                [-q * x + p * y for x, y in zip(h[piv], h[r])],
-            )
-        if h[piv][col] < 0:
-            h[piv] = [-x for x in h[piv]]
-        pv = h[piv][col]
-        for r in range(piv):
-            q = h[r][col] // pv
-            if q != 0:
-                h[r] = [x - q * y for x, y in zip(h[r], h[piv])]
-        piv += 1
-    if not piv:
-        # The column lattice is trivial; encode as a single zero column.
-        return IntegerMatrix._trusted(((0,),) * m.nrows)
-    # Rows from piv on are zero: every column either has a pivot or is
-    # zero in all of them.
-    return IntegerMatrix._trusted(tuple(zip(*h[:piv])))
-
-
-def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[int]]:
-    """Triangular basis t_0..t_{r-1} of the lattice spanned by gens and d*Z^r.
-
-    t_j is zero before position j and has a positive divisor of d at j.
-    Since every d*e_k lies in the lattice, all other entries are reduced
-    mod d, so nothing swells.
-    """
-    rest = [[x % d for x in g] for g in gens]
-    basis = []
-    for j in range(r):
-        piv = [0] * r
-        piv[j] = d
-        left = []
-        for g in rest:
-            gj = g[j]
-            if gj:
-                pj = piv[j]
-                if gj % pj == 0:
-                    # The usual case once the pivot has shrunk to a gcd.
-                    q = gj // pj
-                    g = [(y - q * x) % d for x, y in zip(piv, g)]
-                else:
-                    # The new pivot gcd(pj, gj) <= gj < d survives mod d.
-                    h, s, t = _xgcd(pj, gj)
-                    p, q = pj // h, gj // h
-                    piv, g = (
-                        [(s * x + t * y) % d for x, y in zip(piv, g)],
-                        [(p * y - q * x) % d for x, y in zip(piv, g)],
-                    )
-            if any(g[j + 1 :]):
-                left.append(g)
-        basis.append(piv)
-        rest = left
-    return basis
-
-
 def _inexact(d: int) -> ConsistencyError:
     return ConsistencyError(
         f"division by {d} left a remainder; the lattice basis behind it is wrong"
@@ -301,41 +173,6 @@ def _back_substitute(
     return k
 
 
-def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """Basis of the saturated integer kernel {v : M v = 0}, as columns.
-
-    M is eliminated forward from its last column to its first, to an
-    echelon form U with last pivot D, and back substitution gives one
-    kernel vector K_f per free column f (``_back_substitute``).
-    These rows K span the rational kernel but may miss lattice points.
-    With T a lower-triangular basis of the column lattice of K (K = T V
-    for an integer V), the rows of S = T^-1 K span the whole kernel
-    lattice: the maximal minors of S have gcd 1.  That lattice contains
-    |D|*Z^r, so T is found mod |D|, with an xgcd step only where a pivot
-    does not divide the entry below it.  S is found by forward substitution
-    with exact division, so row i of S still ends at the i-th free column.
-    Back in the original column order the rows of S, last to first, are
-    in echelon form, and column_hnf only has to reduce above the pivots.
-    Equal kernels thus always produce identical matrices.  A full-rank
-    input yields a matrix with zero columns.
-    """
-    n = m.ncols
-    pivots, u, d = _bareiss_forward([row[::-1] for row in m.rows], n)
-    if len(pivots) == n:
-        return IntegerMatrix([()] * n)
-    k = _back_substitute(pivots, u, d, n)
-    # Column j of T is t[j]; the other columns of K are D times unit vectors.
-    t = _triangular_basis_mod([[v[p] for v in k] for p in pivots], abs(d), len(k))
-    s: list[list[int]] = []
-    for i, v in enumerate(k):
-        for j in range(i):
-            c = t[j][i]
-            if c:
-                v = [x - c * y for x, y in zip(v, s[j])]
-        s.append(_divide_exactly(v, t[i][i]))
-    return column_hnf(IntegerMatrix._trusted(tuple(zip(*[v[::-1] for v in reversed(s)]))))
-
-
 def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
     """Two columns, as lists, that span the saturated integer kernel of M.
 
@@ -346,7 +183,8 @@ def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
     starts from a = c = |D| and takes an xgcd step only where a does not
     divide the next first entry; b stays reduced mod c.  The rows of
     T^-1 (k0, k1), found by exact division, span the whole kernel
-    lattice, as in kernel_lattice_basis, but the basis is not canonical.
+    lattice: their 2x2 minors have gcd 1.  The basis is not canonical;
+    ``_planar_hnf`` of it is.
     """
     n = m.ncols
     pivots, u, d = _bareiss_forward(list(m.rows), n)
@@ -367,3 +205,27 @@ def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
     s0 = _divide_exactly(k0, a)
     s1 = _divide_exactly([y - b * x for x, y in zip(s0, k1)], c)
     return s0, s1
+
+
+def _planar_hnf(c0: Sequence[int], c1: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Hermite normal form (h0, h1) of the rank-2 lattice spanned by c0, c1.
+
+    At the first position j where c0 or c1 is nonzero, one unimodular
+    xgcd step leaves h0[j] = gcd(c0[j], c1[j]) > 0 and h1[j] = 0.  At
+    the first position k where h1 is nonzero, h1 is made positive and
+    h0[k] reduced into [0, h1[k]).  Two bases of one lattice give
+    identical forms.  The columns must be independent.
+    """
+    j = next(j for j, (x, y) in enumerate(zip(c0, c1)) if x or y)
+    g, s, t = _xgcd(c0[j], c1[j])
+    p, q = c0[j] // g, c1[j] // g
+    # det [[s, t], [-q, p]] = s*p + t*q = 1.
+    h0 = [s * x + t * y for x, y in zip(c0, c1)]
+    h1 = [p * y - q * x for x, y in zip(c0, c1)]
+    k = next(k for k in range(j + 1, len(h1)) if h1[k])
+    if h1[k] < 0:
+        h1 = [-y for y in h1]
+    r = h0[k] // h1[k]
+    if r:
+        h0 = [x - r * y for x, y in zip(h0, h1)]
+    return h0, h1

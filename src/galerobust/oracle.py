@@ -94,17 +94,18 @@ def _indispensable_among(b: GaleConfiguration, binomials) -> frozenset[Binomial]
     """The members of ``binomials`` whose plus part has the fiber {plus, minus}.
 
     Each binomial is checked as ``is_indispensable_oracle`` states, in
-    iteration order, and the first bad one raises; B's grading is
-    checked and its columns reduced once, at the first binomial, for all
-    of them.
+    iteration order, and the first bad one raises.  An independent pair
+    of B's rows is found once for all of them; B's grading is checked
+    and its columns reduced once, at the first binomial.
     """
+    pair = _independent_pair(b.rows)
     rows = None
     kept = []
     for x in binomials:
         plus, minus = x.plus, x.minus
         if len(plus) != b.n:
             raise ValueError("binomial length does not match configuration size")
-        if _solve_in_kernel(b, x.vector) is None:
+        if not _is_kernel_vector(b.rows, pair, x.vector):
             raise ValueError("plus - minus is not a kernel vector of the configuration")
         if rows is None:
             rows = _fiber_rows(b)
@@ -114,23 +115,29 @@ def _indispensable_among(b: GaleConfiguration, binomials) -> frozenset[Binomial]
     return frozenset(kept)
 
 
-def _solve_in_kernel(b: GaleConfiguration, z):
-    """Integer u with B u = z, or None."""
-    rows = b.rows
+def _independent_pair(rows):
+    """(i, j, d) for the first rows i < j with d = cross(rows[i], rows[j]) != 0.
+
+    None when all rows lie on one line.
+    """
     for i, j in combinations(range(len(rows)), 2):
         d = cross(rows[i], rows[j])
         if d:
-            break
-    else:
-        return None
-    u1 = z[i] * rows[j][1] - z[j] * rows[i][1]
-    u2 = rows[i][0] * z[j] - rows[j][0] * z[i]
-    if u1 % d or u2 % d:
-        return None
-    u = (u1 // d, u2 // d)
-    if any(r[0] * u[0] + r[1] * u[1] != zz for r, zz in zip(rows, z)):
-        return None
-    return u
+            return i, j, d
+    return None
+
+
+def _is_kernel_vector(rows, pair, z) -> bool:
+    """Whether z = B u for an integer u; ``pair`` is ``_independent_pair(rows)``.
+
+    u is solved from the pair's two rows and checked against every row.
+    """
+    if pair is None:
+        return False
+    i, j, d = pair
+    u1, r1 = divmod(z[i] * rows[j][1] - z[j] * rows[i][1], d)
+    u2, r2 = divmod(rows[i][0] * z[j] - rows[j][0] * z[i], d)
+    return not (r1 or r2) and all(x * u1 + y * u2 == zz for (x, y), zz in zip(rows, z))
 
 
 def _box_scan(rows, radius: int) -> list[tuple[int, int]]:

@@ -149,11 +149,15 @@ def graver_basis(a: IntegerMatrix) -> frozenset[Binomial]:
 def markov_basis(a: IntegerMatrix) -> tuple[frozenset[Binomial], bool]:
     """Minimal generating set and a complete-intersection flag.
 
-    A view of ``is_strongly_robust(a)``, which runs the whole decision.
-    When indispensable binomials exist they generate the ideal and are
-    returned with the flag False.  Otherwise the ideal is a complete
-    intersection; the two generators are not constructed and the empty
-    set is returned with the flag True.
+    A view of ``is_strongly_robust(a)``, which runs the whole decision:
+    the indispensable binomials and the report's flag.  In codimension 2
+    an ideal that is not a complete intersection is minimally generated
+    by its indispensable binomials (Peeva-Sturmfels), and as I_A has
+    height 2 there are then at least three of them.  So I_A is a
+    complete intersection exactly when it has at most two indispensable
+    binomials.  With two they generate the ideal; with fewer than two
+    the returned set does not yet generate it, and the missing
+    generators are not built.
     """
     report = is_strongly_robust(a)
     return report.indispensable, report.complete_intersection
@@ -253,18 +257,20 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     missing = [u for u in core if u not in graver_by_u and (-u[0], -u[1]) not in graver_by_u]
     if missing:
         indisp += _gale_binomials(b, missing)
+    indispensable = frozenset(indisp)
 
     bqs = tuple(bouquets(b))
     return RobustnessReport(
         strongly_robust=witness is None,
         graver=graver,
-        indispensable=frozenset(indisp),
+        indispensable=indispensable,
         h_union=union,
         h_core=core,
         bouquets=bqs,
         mixed_count=sum(1 for q in bqs if q.mixed),
         centrally_symmetric=centrally_symmetric_hull(reduced),
-        complete_intersection=len(core) == 0,
+        # Complete intersection iff at most two indispensables; see markov_basis.
+        complete_intersection=len(indispensable) <= 2,
         witness=witness,
         gale=b,
         reduced=reduced,

@@ -5,7 +5,7 @@ import math
 import random
 from fractions import Fraction
 from math import gcd
-from operator import index
+from operator import index, mul
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,7 @@ from galerobust import (
 from galerobust._value import _Value
 from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
-from galerobust.intlinalg import _bareiss_forward, _xgcd, column_hnf
+from galerobust.intlinalg import _back_substitute, _bareiss_forward, _divide_exactly, _xgcd
 from galerobust.oracle import _fiber_rows, _fiber_walk
 from galerobust.planar import cross
 from galerobust.toric import _gale_binomials, _trusted_binomials
@@ -135,6 +135,41 @@ def reference_convex_hull(points) -> list[tuple[int, int]]:
     return hull
 
 
+def identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def transpose(m: IntegerMatrix) -> IntegerMatrix:
+    """M^T; M needs at least one column, as a matrix needs a row."""
+    return IntegerMatrix(zip(*m.rows))
+
+
+def column(m: IntegerMatrix, j: int) -> tuple[int, ...]:
+    return tuple(r[j] for r in m.rows)
+
+
+def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """The product A B."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch: {a.ncols} columns against {b.nrows} rows")
+    cols = list(zip(*b.rows))
+    return IntegerMatrix([[sum(map(mul, r, c)) for c in cols] for r in a.rows])
+
+
+def apply(m: IntegerMatrix, v) -> tuple[int, ...]:
+    """The matrix-vector product M v."""
+    return tuple(sum(map(mul, r, v)) for r in m.rows)
+
+
+def is_zero(m: IntegerMatrix) -> bool:
+    return not any(map(any, m.rows))
+
+
+def kernel_vector(b: GaleConfiguration, u) -> tuple[int, ...]:
+    """The kernel element B u of the ambient lattice Z^n."""
+    return tuple(x * u[0] + y * u[1] for x, y in b.rows)
+
+
 def lattices_equal(m1: IntegerMatrix, m2: IntegerMatrix) -> bool:
     """Column lattices coincide iff their canonical column forms do."""
     return column_hnf(m1) == column_hnf(m2)
@@ -170,9 +205,8 @@ def acceptance_suite():
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Row-style Hermite normal form with its unimodular transform.
 
-    Returns (H, U) with U unimodular, U @ M = H, pivots positive, entries
-    above each pivot reduced into [0, pivot), and zero rows last.  The
-    package's ``column_hnf`` runs the same steps on M^T without U.
+    Returns (H, U) with U unimodular, U M = H, pivots positive, entries
+    above each pivot reduced into [0, pivot), and zero rows last.
     """
     nr, nc = m.nrows, m.ncols
     h = [list(r) for r in m.rows]
@@ -231,6 +265,21 @@ def reference_rank(m: IntegerMatrix) -> int:
     return sum(1 for row in h.rows if any(row))
 
 
+def column_hnf(m: IntegerMatrix) -> IntegerMatrix:
+    """Canonical basis of the column lattice of M, as matrix columns.
+
+    The nonzero rows of the Hermite normal form of M^T, transposed, or a
+    single zero column when the lattice is trivial.  Two matrices have
+    equal column lattices iff their forms are identical.
+    """
+    if m.ncols:
+        h, _ = hermite_normal_form(transpose(m))
+        nonzero = [row for row in h.rows if any(row)]
+        if nonzero:
+            return transpose(IntegerMatrix(nonzero))
+    return IntegerMatrix([(0,)] * m.nrows)
+
+
 def reference_kernel(m: IntegerMatrix) -> IntegerMatrix:
     """Kernel from the unimodular HNF transform of M^T, then column_hnf.
 
@@ -238,11 +287,80 @@ def reference_kernel(m: IntegerMatrix) -> IntegerMatrix:
     lattice because U is unimodular.  Exact but slow: U is n x n and its
     entries swell with n.
     """
-    h, u = hermite_normal_form(m.transpose())
-    kernel_rows = [u.row(i) for i in range(h.nrows) if not any(h.row(i))]
+    h, u = hermite_normal_form(transpose(m))
+    kernel_rows = [ur for hr, ur in zip(h.rows, u.rows) if not any(hr)]
     if not kernel_rows:
         return IntegerMatrix([()] * m.ncols)
-    return column_hnf(IntegerMatrix(kernel_rows).transpose())
+    return column_hnf(transpose(IntegerMatrix(kernel_rows)))
+
+
+def _triangular_basis_mod(gens: list[list[int]], d: int, r: int) -> list[list[int]]:
+    """Triangular basis t_0..t_{r-1} of the lattice spanned by gens and d*Z^r.
+
+    t_j is zero before position j and has a positive divisor of d at j.
+    Since every d*e_k lies in the lattice, all other entries are reduced
+    mod d, so nothing swells.
+    """
+    rest = [[x % d for x in g] for g in gens]
+    basis = []
+    for j in range(r):
+        piv = [0] * r
+        piv[j] = d
+        left = []
+        for g in rest:
+            gj = g[j]
+            if gj:
+                pj = piv[j]
+                if gj % pj == 0:
+                    # The usual case once the pivot has shrunk to a gcd.
+                    q = gj // pj
+                    g = [(y - q * x) % d for x, y in zip(piv, g)]
+                else:
+                    # The new pivot gcd(pj, gj) <= gj < d survives mod d.
+                    h, s, t = _xgcd(pj, gj)
+                    p, q = pj // h, gj // h
+                    piv, g = (
+                        [(s * x + t * y) % d for x, y in zip(piv, g)],
+                        [(p * y - q * x) % d for x, y in zip(piv, g)],
+                    )
+            if any(g[j + 1 :]):
+                left.append(g)
+        basis.append(piv)
+        rest = left
+    return basis
+
+
+def kernel_lattice_basis(m: IntegerMatrix) -> IntegerMatrix:
+    """Canonical basis of the saturated integer kernel {v : M v = 0}, as columns.
+
+    A generator of kernels of any corank: the tests build A = ker(B^T)^T
+    with it for up to 40 Gale rows B, where ``reference_kernel`` is too
+    slow.  M is eliminated forward from its last column to its
+    first by the package's ``_bareiss_forward``, and
+    ``_back_substitute`` gives one kernel vector K_f per free column f.
+    These rows K span the rational kernel but may miss lattice points.
+    With T a lower-triangular basis of the column lattice of K (K = T V
+    for an integer V), the rows of S = T^-1 K span the whole kernel
+    lattice: the maximal minors of S have gcd 1.  That lattice contains
+    |D|*Z^r, so T is found mod |D|.  S is found by forward substitution
+    with exact division, and ``column_hnf`` makes the basis canonical.
+    A full-rank input yields a matrix with zero columns.
+    """
+    n = m.ncols
+    pivots, u, d = _bareiss_forward([row[::-1] for row in m.rows], n)
+    if len(pivots) == n:
+        return IntegerMatrix([()] * n)
+    k = _back_substitute(pivots, u, d, n)
+    # Column j of T is t[j]; the other columns of K are D times unit vectors.
+    t = _triangular_basis_mod([[v[p] for v in k] for p in pivots], abs(d), len(k))
+    s: list[list[int]] = []
+    for i, v in enumerate(k):
+        for j in range(i):
+            c = t[j][i]
+            if c:
+                v = [x - c * y for x, y in zip(v, s[j])]
+        s.append(_divide_exactly(v, t[i][i]))
+    return column_hnf(IntegerMatrix(zip(*[v[::-1] for v in reversed(s)])))
 
 
 def reference_lagrange(k: IntegerMatrix) -> IntegerMatrix:
@@ -253,8 +371,8 @@ def reference_lagrange(k: IntegerMatrix) -> IntegerMatrix:
     columns; the rounding, the swaps, the sign normalization and the
     column order are those of ``gale._lagrange_reduced_columns``.
     """
-    v = list(k.column(0))
-    w = list(k.column(1))
+    v = list(column(k, 0))
+    w = list(column(k, 1))
 
     def norm2(x):
         return sum(t * t for t in x)
@@ -366,7 +484,7 @@ def lawrence_lifting(a: IntegerMatrix) -> IntegerMatrix:
 
 def reference_binomials(b, vectors) -> frozenset[Binomial]:
     """One checked Binomial per fan vector, u and -u each built apart."""
-    return frozenset(reference_binomial(b.kernel_vector(tuple(u))) for u in vectors)
+    return frozenset(reference_binomial(kernel_vector(b, u)) for u in vectors)
 
 
 def reference_box_scan(rows, radius: int) -> list[tuple[int, int]]:
@@ -408,7 +526,7 @@ def reference_box_scan(rows, radius: int) -> list[tuple[int, int]]:
 
 
 class FiberEnumeration(_Value):
-    """All nonnegative vectors sharing the image A @ target."""
+    """All nonnegative vectors sharing the image A target."""
 
     __slots__ = ("target", "points")
 

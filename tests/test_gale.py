@@ -18,33 +18,41 @@ from galerobust import (
 )
 from galerobust.planar import cross
 
-from conftest import EXAMPLE_GALE_ROWS, EXAMPLE_REDUCED_ROWS, primitive, random_valid_instances
+from conftest import (
+    EXAMPLE_GALE_ROWS,
+    EXAMPLE_REDUCED_ROWS,
+    identity,
+    is_zero,
+    matmul,
+    primitive,
+    random_valid_instances,
+)
 
 
 def test_gale_transform_example_matrix(example_matrix):
     b = gale_transform(example_matrix)
     assert b.rows == EXAMPLE_GALE_ROWS
-    assert (example_matrix @ IntegerMatrix([list(r) for r in b.rows])).is_zero()
+    assert is_zero(matmul(example_matrix, IntegerMatrix(b.rows)))
 
 
 def test_gale_transform_two_block_matrix():
     a = IntegerMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
     b = gale_transform(a)
     assert Counter(b.rows) == Counter([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert (a @ IntegerMatrix([list(r) for r in b.rows])).is_zero()
+    assert is_zero(matmul(a, IntegerMatrix(b.rows)))
 
 
 
 def test_gale_transform_settles_lagrange_tie():
     # The kernel lattice of [1 1 1] is hexagonal: a reduced basis v, w
     # has |v|^2 = |w|^2 = 2 and v.w = +-1, so w and w -+ v tie, and
-    # only the column_hnf restart makes the rows independent of the
-    # basis the planar kernel happens to return.
+    # only the restart on the planar Hermite form makes the rows
+    # independent of the basis the planar kernel happens to return.
     assert gale_transform(IntegerMatrix([[1, 1, 1]])).rows == ((1, 1), (-1, 0), (0, -1))
 
 def test_gale_transform_rejects_wrong_rank():
     with pytest.raises(RankError):
-        gale_transform(IntegerMatrix.identity(3))
+        gale_transform(identity(3))
     with pytest.raises(RankError):
         gale_transform(IntegerMatrix([[1, 2]]))
 
@@ -71,7 +79,7 @@ def test_gale_transform_large_n_is_saturated_and_fast():
     t0 = time.monotonic()
     b = gale_transform(a)
     elapsed = time.monotonic() - t0
-    assert (a @ IntegerMatrix([list(r) for r in b.rows])).is_zero()
+    assert is_zero(matmul(a, IntegerMatrix(b.rows)))
     g = 0
     for (x1, y1), (x2, y2) in combinations(b.rows, 2):
         g = gcd(g, x1 * y2 - y1 * x2)

@@ -22,11 +22,15 @@ from galerobust import (
     bouquets,
     gale_transform,
     is_positively_graded,
-    kernel_lattice_basis,
 )
 from galerobust.gale import _lagrange_reduced_columns
 
-from conftest import reference_bouquets, reference_is_positively_graded
+from conftest import (
+    column,
+    kernel_lattice_basis,
+    reference_bouquets,
+    reference_is_positively_graded,
+)
 
 _BOUNDS = (4, 2**70)
 
@@ -97,7 +101,7 @@ def _checked(a):
     k = kernel_lattice_basis(a)
     if k.ncols != 2:
         raise RankError(str(k.ncols))
-    rows = _lagrange_reduced_columns(k.column(0), k.column(1))
+    rows = _lagrange_reduced_columns(column(k, 0), column(k, 1))
     return GaleConfiguration(rows=rows, source=a)
 
 

@@ -11,7 +11,8 @@ does, and the Gale rows of a fixed set of dense matrices must hash to a
 recorded digest.  ``gale_transform`` reads its rows off a planar kernel
 basis that is not canonical, so on small-entry matrices, where Lagrange
 ties are common, and on the wide sparse ones its rows must equal the
-Lagrange reduction of the canonical ``kernel_lattice_basis``.
+Lagrange reduction of the canonical ``kernel_lattice_basis`` (in
+conftest).
 ``binomial_from_vector`` (in conftest) runs the unchecked batch
 builder, so every binomial it builds must pass the constructor's
 checks.
@@ -33,12 +34,21 @@ from galerobust import (
     RankError,
     ZeroRowError,
     gale_transform,
-    kernel_lattice_basis,
     rank,
 )
 from galerobust.gale import _lagrange_reduced_columns
 
-from conftest import binomial_from_vector, reference_kernel, reference_lagrange, reference_rank
+from conftest import (
+    binomial_from_vector,
+    column,
+    is_zero,
+    kernel_lattice_basis,
+    matmul,
+    reference_kernel,
+    reference_lagrange,
+    reference_rank,
+    transpose,
+)
 
 
 @st.composite
@@ -191,7 +201,7 @@ def _wide_kernels(draw):
     bt = IntegerMatrix([[r[0] for r in rows], [r[1] for r in rows]])
     if rank(bt) < 2:
         return None
-    return kernel_lattice_basis(bt).transpose()
+    return transpose(kernel_lattice_basis(bt))
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,7 +210,7 @@ def test_wide_sparse_kernels_are_saturated(a):
     assume(a is not None)
     k = kernel_lattice_basis(a)
     assert k.ncols == 2
-    assert (a @ k).is_zero()
+    assert is_zero(matmul(a, k))
     g = 0
     for (x, y), (x2, y2) in combinations(k.rows, 2):
         g = gcd(g, x * y2 - x2 * y)
@@ -231,7 +241,7 @@ def test_gale_rows_match_reduced_kernel_lattice_basis(a):
         assert str(e.value) == f"rank {rank(a)} != ncols - 2 = {n - 2}; kernel is not planar"
         return
     k = kernel_lattice_basis(a)
-    expected = _lagrange_reduced_columns(k.column(0), k.column(1))
+    expected = _lagrange_reduced_columns(column(k, 0), column(k, 1))
     if (0, 0) in expected:
         with pytest.raises(ZeroRowError):
             gale_transform(a)

@@ -23,6 +23,7 @@ from galerobust.toric import Binomial
 
 from conftest import (
     DATA,
+    apply,
     binomial_from_gale,
     enumerate_fiber,
     random_valid_instances,
@@ -62,9 +63,9 @@ def test_fiber_points_share_image(example_matrix):
     b = gale_transform(example_matrix)
     v = (2, 1, 0, 3, 0, 1)
     fib = enumerate_fiber(b, v)
-    target_image = example_matrix.apply(v)
+    target_image = apply(example_matrix, v)
     for w in fib.points:
-        assert example_matrix.apply(w) == target_image
+        assert apply(example_matrix, w) == target_image
         assert all(x >= 0 for x in w)
 
 
@@ -97,6 +98,10 @@ def test_indispensable_oracle_rejects_non_kernel(example_matrix):
     b = gale_transform(example_matrix)
     with pytest.raises(ValueError, match="not a kernel vector"):
         is_indispensable_oracle(b, Binomial((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)))
+    # B (1, 0) = (1, -2, -1, 0, 2, 2) but for its last entry: the first
+    # two rows solve for u, and only the other rows reject it.
+    with pytest.raises(ValueError, match="not a kernel vector"):
+        is_indispensable_oracle(b, Binomial((1, 0, 0, 0, 2, 3), (0, 2, 1, 0, 0, 0)))
 
 
 def test_indispensable_oracle_rejects_mismatched_lengths(example_matrix):

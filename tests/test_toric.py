@@ -23,9 +23,12 @@ from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
 
 from conftest import (
     EXAMPLE_BINOMIALS,
+    apply,
     binomial_from_gale,
     binomial_from_vector,
+    column,
     full_turn,
+    kernel_lattice_basis,
     lawrence_lifting,
     random_valid_instances,
     reference_binomials,
@@ -152,20 +155,36 @@ def test_markov_twisted_cubic(twisted_cubic):
     assert gens == indispensable_set(twisted_cubic)
 
 
+def test_complete_intersection_iff_at_most_two_indispensables(acceptance_suite):
+    # In codimension 2 an ideal that is not a complete intersection is
+    # minimally generated by its indispensables, at least three of them
+    # (Peeva-Sturmfels); 23 suite ideals have one or two.
+    reports = [is_strongly_robust(m) for m in acceptance_suite]
+    flags = [r.complete_intersection for r in reports]
+    assert flags == [len(r.indispensable) <= 2 for r in reports]
+    assert sum(flags) == 23
+    m = acceptance_suite[7]
+    assert m.rows == ((-2, 2, 0, 4), (-2, -3, -2, -1))
+    gens, ci = markov_basis(m)
+    assert ci
+    # One binomial cannot generate a height-2 ideal: the set falls short.
+    assert [render_binomial(x) for x in gens] == ["x1*x4 - x2"]
+
+
 def test_lawrence_lifting_small():
     lam = lawrence_lifting(IntegerMatrix([[1, 1]]))
     assert lam.rows == ((1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1))
 
 
 def test_lawrence_lifting_example(example_matrix):
-    from galerobust import kernel_lattice_basis, rank
+    from galerobust import rank
 
     lam = lawrence_lifting(example_matrix)
     assert (lam.nrows, lam.ncols) == (10, 12)
     assert rank(lam) == 10
     k = kernel_lattice_basis(lam)
     for j in range(k.ncols):
-        col = k.column(j)
+        col = column(k, j)
         assert col[:6] == tuple(-x for x in col[6:])
 
 
@@ -259,7 +278,7 @@ def test_circuits_have_zero_coordinate_and_are_primitive():
 def test_graver_elements_are_kernel_vectors():
     for m in random_valid_instances(10, seed=888):
         for b in graver_basis(m):
-            assert all(x == 0 for x in m.apply(b.vector))
+            assert all(x == 0 for x in apply(m, b.vector))
 
 
 def test_render_styles():
