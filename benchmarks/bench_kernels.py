@@ -24,7 +24,10 @@ per half-turn vector), and the median microseconds per Graver element
 least-squares line through the microseconds per call of
 ``is_strongly_robust`` (best of N, ten calls each) against the Graver
 basis size on those 100 problems: its intercept is the cost every call
-pays, its slope the cost per Graver element.  Last, the median wall milliseconds
+pays, its slope the cost per Graver element.  One line is fitted per
+pass over the problems, over FIT_PASSES passes in turn, and the median
+and the min-max of each fit value are printed, so that the spread
+between passes shows.  Last, the median wall milliseconds
 of ``python -m galerobust <cmd>`` on ``tests/data/example_4x6.mat`` for
 each subcommand, over CLI_RUNS fresh processes: start-up and imports
 included, since a subcommand loads only the modules it runs.  Two floor
@@ -171,7 +174,8 @@ def bench_gale_stages(repeat):
 
 
 def _fan_problems(count, seed):
-    """Corank-2, positively graded matrices, n in 4..7, entries in +-4."""
+    """(A, gale_transform(A)) for corank-2, positively graded matrices A,
+    n in 4..7, entries in +-4."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -184,7 +188,7 @@ def _fan_problems(count, seed):
         except ZeroRowError:
             continue
         if is_positively_graded(b):
-            out.append(b)
+            out.append((m, b))
     return out
 
 
@@ -196,7 +200,7 @@ def bench_fan_layers(repeat):
         "graver binomials": [],
         "is_indispensable_oracle": [],
     }
-    for b in problems:
+    for _, b in problems:
         reduced = reduce_configuration(b)
         union = fan_hilbert_union(reduced)
         half = symmetrized_half_turn(union)
@@ -216,19 +220,28 @@ def bench_fan_layers(repeat):
         print(f"{name:<30} {statistics.median(times):>12.1f}")
 
 
+FIT_PASSES = 5
+
+
 def bench_decide_fit(repeat):
-    sizes, micros = [], []
-    for b in _fan_problems(100, seed=20260810):
-        a = b.source
-        sizes.append(len(is_strongly_robust(a).graver))
-        t = _time(lambda: [is_strongly_robust(a) for _ in range(10)], repeat) / 10
-        micros.append(t * 1e6)
-    slope, intercept = statistics.linear_regression(sizes, micros)
-    print("is_strongly_robust: the same 100 problems, time per call against Graver size")
-    print(f"{'fit':<30} {'value':>12}")
-    print(f"{'mean (us per call)':<30} {statistics.mean(micros):>12.1f}")
-    print(f"{'intercept (us per call)':<30} {intercept:>12.1f}")
-    print(f"{'slope (us per Graver element)':<30} {slope:>12.2f}")
+    matrices = [a for a, _ in _fan_problems(100, seed=20260810)]
+    sizes = [len(is_strongly_robust(a).graver) for a in matrices]
+    fits = {"mean (us per call)": [], "intercept (us per call)": [],
+            "slope (us per Graver element)": []}
+    for _ in range(FIT_PASSES):
+        micros = [
+            _time(lambda: [is_strongly_robust(a) for _ in range(10)], repeat) / 10 * 1e6
+            for a in matrices
+        ]
+        slope, intercept = statistics.linear_regression(sizes, micros)
+        for name, value in zip(fits, (statistics.mean(micros), intercept, slope)):
+            fits[name].append(value)
+    print("is_strongly_robust: the same 100 problems, time per call against Graver size;")
+    print(f"one fit per pass, {FIT_PASSES} passes")
+    print(f"{'fit':<30} {'median':>9} {'min':>9} {'max':>9}")
+    for name, values in fits.items():
+        print(f"{name:<30} {statistics.median(values):>9.2f} {min(values):>9.2f} "
+              f"{max(values):>9.2f}")
 
 
 CLI_RUNS = 9

@@ -56,10 +56,7 @@ _HOMES = {
         "Binomial",
         "RobustnessReport",
         "centrally_symmetric_hull",
-        "graver_basis",
-        "indispensable_set",
         "is_strongly_robust",
-        "markov_basis",
         "render_binomial",
     ),
 }

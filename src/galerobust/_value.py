@@ -14,11 +14,10 @@ this module alone writes fields, through each slot descriptor's
   ``columns[k]`` is a sequence holding field k of every value.  In the
   hot loops it costs less per value than ``_trusted``.
 
-Every field takes part in equality and hashing except those named by
-the class keyword ``uncompared``; a single compared field hashes as
-itself.  The base supplies immutability, equality, hashing, ``repr`` and
-pickling with nothing to import but ``operator``, so loading the value
-types costs no ``inspect`` at start-up.
+Every field takes part in equality and hashing; a single field hashes
+as itself.  The base supplies immutability, equality, hashing, ``repr``
+and pickling with nothing to import but ``operator``, so loading the
+value types costs no ``inspect`` at start-up.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from operator import attrgetter
 class _Value:
     __slots__ = ()
 
-    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*(f for f in cls.__slots__ if f not in uncompared))
+        cls._key = attrgetter(*cls.__slots__)
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
 
     def __init__(self, *fields, **named):

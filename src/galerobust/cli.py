@@ -87,8 +87,9 @@ def _bouquet_section(qs) -> dict:
 
 
 def _report_document(m: IntegerMatrix, report: RobustnessReport, letters: bool) -> dict:
-    # The Markov list is the indispensable set, as in toric.markov_basis,
-    # which says when that set falls short of generating the ideal.
+    # The Markov list is the indispensable set; the docstring of
+    # RobustnessReport.complete_intersection says when it falls short of
+    # generating the ideal.
     indispensable = _binomial_list(report.indispensable, letters)
     return {
         **_head(m),

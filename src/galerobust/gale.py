@@ -20,16 +20,12 @@ from .intlinalg import IntegerMatrix, _planar_hnf, _planar_kernel
 from .planar import Vec2
 
 
-class GaleConfiguration(_Value, uncompared=("source",)):
-    """List of 2D integer row vectors spanning the kernel lattice of A.
+class GaleConfiguration(_Value):
+    """List of 2D integer row vectors spanning the kernel lattice of A."""
 
-    ``source`` is the matrix the rows came from; it takes no part in
-    equality.
-    """
+    __slots__ = ("rows",)
 
-    __slots__ = ("rows", "source")
-
-    def __init__(self, rows: tuple[Vec2, ...], source: IntegerMatrix | None = None):
+    def __init__(self, rows: tuple[Vec2, ...]):
         if len(rows) < 3:
             raise ValueError("a Gale configuration needs at least 3 rows")
         clean = []
@@ -40,7 +36,7 @@ class GaleConfiguration(_Value, uncompared=("source",)):
             if t == (0, 0):
                 raise _zero_row_error(i)
             clean.append(t)
-        super().__init__(tuple(clean), source)
+        super().__init__(tuple(clean))
 
     @property
     def n(self) -> int:
@@ -148,7 +144,7 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     rows = _lagrange_reduced_columns(*_planar_kernel(a), settle_ties=True)
     if (0, 0) in rows:
         raise _zero_row_error(rows.index((0, 0)))
-    return GaleConfiguration._trusted(rows, a)
+    return GaleConfiguration._trusted(rows)
 
 
 def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:

@@ -63,7 +63,8 @@ def parse_matrix_json(text: str) -> IntegerMatrix:
 
 def load_matrix(path: str, json_mode: bool = False) -> IntegerMatrix:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig also drops a leading byte-order mark.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path} is not UTF-8 text: {exc}") from None

@@ -23,7 +23,9 @@ def render_svg(
     for (x, y) in list(rows) + list(core) + list(hull):
         extent = max(extent, abs(x), abs(y))
     unit = max(1, (_VIEW // 2 - _MARGIN) // extent)
-    c = _VIEW // 2
+    # At one pixel per unit the view widens to keep every point inside.
+    side = 2 * max(_VIEW // 2, extent + _MARGIN)
+    c = side // 2
 
     def px(p: Vec2) -> tuple[int, int]:
         return (c + unit * p[0], c - unit * p[1])
@@ -31,19 +33,19 @@ def render_svg(
     out = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW}" height="{_VIEW}" '
-        f'viewBox="0 0 {_VIEW} {_VIEW}">'
+        f'viewBox="0 0 {side} {side}">'
     )
     out.append(
         '<defs><marker id="tip" markerWidth="10" markerHeight="8" refX="8" refY="4" '
         'orient="auto"><path d="M0,0 L8,4 L0,8 z" fill="#1a469c"/></marker></defs>'
     )
-    out.append(f'<rect width="{_VIEW}" height="{_VIEW}" fill="white"/>')
+    out.append(f'<rect width="{side}" height="{side}" fill="white"/>')
     out.append(
-        f'<line class="axis" x1="0" y1="{c}" x2="{_VIEW}" y2="{c}" '
+        f'<line class="axis" x1="0" y1="{c}" x2="{side}" y2="{c}" '
         'stroke="#cccccc" stroke-width="1"/>'
     )
     out.append(
-        f'<line class="axis" x1="{c}" y1="0" x2="{c}" y2="{_VIEW}" '
+        f'<line class="axis" x1="{c}" y1="0" x2="{c}" y2="{side}" '
         'stroke="#cccccc" stroke-width="1"/>'
     )
     if hull:

@@ -5,8 +5,8 @@ no polynomial objects are materialized.  All is read off the one plain
 fan of the reduced Gale configuration: the indispensable set off its
 union's symmetric core, the Graver basis off that union, its negation
 and the walks across their gaps.  ``is_strongly_robust`` returns them
-in a ``RobustnessReport``; ``graver_basis``, ``indispensable_set`` and
-``markov_basis`` are views of that report.
+in a ``RobustnessReport``, which computes the facts that follow from
+them when they are read.
 """
 
 from __future__ import annotations
@@ -128,41 +128,6 @@ def _gale_binomials(b: GaleConfiguration, us: list[Vec2]) -> list[Binomial]:
     return _trusted_binomials([[r0 * x + r1 * y for x, y in us] for r0, r1 in b.rows])
 
 
-def indispensable_set(a: IntegerMatrix) -> frozenset[Binomial]:
-    """Binomials in every binomial minimal generating set.
-
-    A view of ``is_strongly_robust(a)``, which runs the whole decision:
-    the binomials of the symmetric core of the fan's Hilbert basis union.
-    """
-    return is_strongly_robust(a).indispensable
-
-
-def graver_basis(a: IntegerMatrix) -> frozenset[Binomial]:
-    """All primitive binomials: no other binomial divides them part-wise.
-
-    A view of ``is_strongly_robust(a)``, which runs the whole decision:
-    the binomials of the symmetrized fan's Hilbert basis union.
-    """
-    return is_strongly_robust(a).graver
-
-
-def markov_basis(a: IntegerMatrix) -> tuple[frozenset[Binomial], bool]:
-    """Minimal generating set and a complete-intersection flag.
-
-    A view of ``is_strongly_robust(a)``, which runs the whole decision:
-    the indispensable binomials and the report's flag.  In codimension 2
-    an ideal that is not a complete intersection is minimally generated
-    by its indispensable binomials (Peeva-Sturmfels), and as I_A has
-    height 2 there are then at least three of them.  So I_A is a
-    complete intersection exactly when it has at most two indispensable
-    binomials.  With two they generate the ideal; with fewer than two
-    the returned set does not yet generate it, and the missing
-    generators are not built.
-    """
-    report = is_strongly_robust(a)
-    return report.indispensable, report.complete_intersection
-
-
 def centrally_symmetric_hull(config: ReducedGaleConfiguration) -> bool:
     """Whether conv of the reduced rows has a negation-invariant vertex set."""
     hull = planar.convex_hull(config.rows)
@@ -172,53 +137,65 @@ def centrally_symmetric_hull(config: ReducedGaleConfiguration) -> bool:
     return verts == {(-x, -y) for x, y in verts}
 
 
-class RobustnessReport(_Value, uncompared=("gale", "reduced")):
+class RobustnessReport(_Value):
     """Verdict plus every certificate used to reach it.
 
-    ``gale`` and ``reduced`` take no part in equality.
+    Seven fields are stored.  The verdict and four facts that follow
+    from the fields are properties, computed each time they are read.
     """
 
-    __slots__ = (
-        "strongly_robust",
-        "graver",
-        "indispensable",
-        "h_union",
-        "h_core",
-        "bouquets",
-        "mixed_count",
-        "centrally_symmetric",
-        "complete_intersection",
-        "witness",
-        "gale",
-        "reduced",
-    )
+    __slots__ = ("graver", "indispensable", "h_union", "h_core", "witness", "gale", "reduced")
 
     def __init__(
         self,
-        strongly_robust: bool,
         graver: frozenset[Binomial],
         indispensable: frozenset[Binomial],
         h_union: HilbertBasisSet,
         h_core: tuple[Vec2, ...],
-        bouquets: tuple[Bouquet, ...],
-        mixed_count: int,
-        centrally_symmetric: bool,
-        complete_intersection: bool,
         witness: Vec2 | None,
         gale: GaleConfiguration,
         reduced: ReducedGaleConfiguration,
     ):
         if not indispensable <= graver:
             raise ConsistencyError("indispensable set exceeds the Graver basis")
-        if strongly_robust != (indispensable == graver):
+        if (witness is None) != (indispensable == graver):
             raise ConsistencyError(
                 "geometric criterion and direct Graver comparison disagree; "
                 "this indicates a bug, please report the input matrix"
             )
-        super().__init__(
-            strongly_robust, graver, indispensable, h_union, h_core, bouquets, mixed_count,
-            centrally_symmetric, complete_intersection, witness, gale, reduced,
-        )
+        super().__init__(graver, indispensable, h_union, h_core, witness, gale, reduced)
+
+    @property
+    def strongly_robust(self) -> bool:
+        """Whether every reduced row has its negation in the symmetric core."""
+        return self.witness is None
+
+    @property
+    def bouquets(self) -> tuple[Bouquet, ...]:
+        return tuple(bouquets(self.gale))
+
+    @property
+    def mixed_count(self) -> int:
+        return sum(1 for q in self.bouquets if q.mixed)
+
+    @property
+    def centrally_symmetric(self) -> bool:
+        return centrally_symmetric_hull(self.reduced)
+
+    @property
+    def complete_intersection(self) -> bool:
+        """Whether I_A is a complete intersection.
+
+        In codimension 2 an ideal that is not a complete intersection is
+        minimally generated by its indispensable binomials
+        (Peeva-Sturmfels), and as I_A has height 2 there are then at
+        least three of them.  So I_A is a complete intersection exactly
+        when it has at most two indispensable binomials.  With two they
+        generate the ideal; with fewer than two the indispensable set
+        does not yet generate it, and the missing generators are not
+        built.
+        """
+        return len(self.indispensable) <= 2
 
 
 def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
@@ -230,10 +207,9 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     the two must agree on every input, and a ConsistencyError is raised
     if they ever do not.
 
-    This is the package's one analysis pass: ``graver_basis``,
-    ``indispensable_set`` and ``markov_basis`` read their answers off the
-    report.  Every stage is looked up in this module's globals at call
-    time, so it can be wrapped or replaced there.
+    This is the package's one analysis pass: every answer is a field or
+    a property of the report.  Every stage is looked up in this module's
+    globals at call time, so it can be wrapped or replaced there.
     """
     b = gale_transform(a)
     reduced = reduce_configuration(b)
@@ -252,26 +228,10 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     # never dropped, so that the report's consistency checks catch them.
     half = symmetrized_half_turn(union)
     graver_by_u = dict(zip(half, _gale_binomials(b, half)))
-    graver = frozenset(graver_by_u.values())
     indisp = [graver_by_u[u] for u in core if u in graver_by_u]
     missing = [u for u in core if u not in graver_by_u and (-u[0], -u[1]) not in graver_by_u]
     if missing:
         indisp += _gale_binomials(b, missing)
-    indispensable = frozenset(indisp)
-
-    bqs = tuple(bouquets(b))
     return RobustnessReport(
-        strongly_robust=witness is None,
-        graver=graver,
-        indispensable=indispensable,
-        h_union=union,
-        h_core=core,
-        bouquets=bqs,
-        mixed_count=sum(1 for q in bqs if q.mixed),
-        centrally_symmetric=centrally_symmetric_hull(reduced),
-        # Complete intersection iff at most two indispensables; see markov_basis.
-        complete_intersection=len(indispensable) <= 2,
-        witness=witness,
-        gale=b,
-        reduced=reduced,
+        frozenset(graver_by_u.values()), frozenset(indisp), union, core, witness, b, reduced
     )

@@ -16,10 +16,8 @@ from galerobust import (
     IntegerMatrix,
     fan_radius_bound,
     gale_transform,
-    graver_basis,
     graver_bruteforce,
     hilbert_basis,
-    indispensable_set,
     is_indispensable_oracle,
     is_strongly_robust,
     rank,
@@ -90,14 +88,14 @@ def test_criterion_3_oracle_equivalence_suite(acceptance_suite):
     t0 = time.monotonic()
     mismatches = 0
     for m in acceptance_suite:
-        b = gale_transform(m)
-        graver = graver_basis(m)
+        report = is_strongly_robust(m)
+        b = report.gale
         brute = graver_bruteforce(b, _default_radius(m))
-        if brute != graver:
+        if brute != report.graver:
             mismatches += 1
             continue
         via_oracle = frozenset(x for x in brute if is_indispensable_oracle(b, x))
-        if via_oracle != indispensable_set(m):
+        if via_oracle != report.indispensable:
             mismatches += 1
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and len(acceptance_suite) >= 100 and elapsed < 60.0
@@ -114,9 +112,9 @@ def test_criterion_4_lawrence_cross_check(acceptance_suite):
         n = m.ncols
         lam = lawrence_lifting(m)
         projected = frozenset(
-            _project_first_half(x, n) for x in indispensable_set(lam)
+            _project_first_half(x, n) for x in is_strongly_robust(lam).indispensable
         )
-        if projected != graver_basis(m):
+        if projected != is_strongly_robust(m).graver:
             failures += 1
     ok = failures == 0
     _criterion(

@@ -94,7 +94,7 @@ def _configuration(fn, a):
         b = fn(a)
     except (RankError, ZeroRowError) as e:
         return type(e).__name__, str(e)
-    return b.rows, b.source
+    return b.rows
 
 
 def _checked(a):
@@ -102,7 +102,7 @@ def _checked(a):
     if k.ncols != 2:
         raise RankError(str(k.ncols))
     rows = _lagrange_reduced_columns(column(k, 0), column(k, 1))
-    return GaleConfiguration(rows=rows, source=a)
+    return GaleConfiguration(rows=rows)
 
 
 @settings(max_examples=300, deadline=None)

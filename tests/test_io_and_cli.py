@@ -167,6 +167,21 @@ def test_non_utf8_file_exit_two(tmp_path, capsys, argv):
     assert "UTF-8" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["gale"], "1 3\n1 1 2\n"), (["gale", "--json"], "[[1, 1, 2]]")],
+    ids=["text", "json"],
+)
+def test_utf8_file_with_a_byte_order_mark(tmp_path, capsys, argv, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main([*argv, str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main([*argv, str(marked)]) == 0
+    assert capsys.readouterr() == expected
+
+
 def _json_error_line(text: str) -> str:
     """The one stderr line of a --json run on text that json.loads rejects."""
     try:
@@ -367,6 +382,23 @@ def test_plot_example(tmp_path, capsys):
     assert svg.count('class="gale-arrow"') == 6
     assert svg.count('class="ha-dot"') == 12
     assert svg.count('class="hull"') == 1
+
+
+def test_plot_stays_inside_its_view_box(tmp_path, capsys):
+    # Reduced rows (-600, 1), (301, 1), (-300, -1): past 340 a unit is one
+    # pixel, and the view must widen to hold them.
+    f = tmp_path / "wide.mat"
+    f.write_text("1 3\n1 900 901\n")
+    target = tmp_path / "wide.svg"
+    assert main(["plot", str(f), "--out", str(target)]) == 0
+    capsys.readouterr()
+    svg = target.read_text()
+    side = int(re.search(r'viewBox="0 0 (\d+) \1"', svg).group(1))
+    coords = re.findall(r' (?:x|y|cx|cy)\d?="(-?\d+)"', svg)
+    for points in re.findall(r'points="([^"]*)"', svg):
+        coords += re.findall(r"-?\d+", points)
+    assert len(coords) > 20
+    assert all(0 <= int(v) <= side for v in coords)
 
 
 def test_plot_rejects_bad_input_without_writing(tmp_path, capsys):

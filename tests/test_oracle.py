@@ -10,9 +10,8 @@ from galerobust import (
     ShellWarning,
     fan_radius_bound,
     gale_transform,
-    graver_basis,
     graver_bruteforce,
-    indispensable_set,
+    is_strongly_robust,
     is_indispensable_oracle,
     is_positively_graded,
     reduce_configuration,
@@ -83,8 +82,9 @@ def test_fiber_count_equals_polygon_lattice_count(example_matrix):
 
 
 def test_indispensable_oracle_on_example_generators(example_matrix):
-    b = gale_transform(example_matrix)
-    for binom in indispensable_set(example_matrix):
+    report = is_strongly_robust(example_matrix)
+    b = report.gale
+    for binom in report.indispensable:
         assert is_indispensable_oracle(b, binom)
 
 
@@ -105,8 +105,9 @@ def test_indispensable_oracle_rejects_non_kernel(example_matrix):
 
 
 def test_indispensable_oracle_rejects_mismatched_lengths(example_matrix):
-    b = gale_transform(example_matrix)
-    x = next(iter(indispensable_set(example_matrix)))
+    report = is_strongly_robust(example_matrix)
+    b = report.gale
+    x = next(iter(report.indispensable))
     assert is_indispensable_oracle(b, x)
     for wrong in (Binomial(x.plus[:5], x.minus[:5]), Binomial(x.plus + (0,), x.minus + (0,))):
         with pytest.raises(ValueError, match="does not match configuration size"):
@@ -190,15 +191,15 @@ def test_box_scan_is_exact_past_int64():
 
 
 def test_bruteforce_example_radius_8(example_matrix):
-    b = gale_transform(example_matrix)
-    assert graver_bruteforce(b, 8) == graver_basis(example_matrix)
+    report = is_strongly_robust(example_matrix)
+    assert graver_bruteforce(report.gale, 8) == report.graver
 
 
 def test_bruteforce_twisted_cubic(twisted_cubic):
-    b = gale_transform(twisted_cubic)
-    brute = graver_bruteforce(b, 8)
-    assert indispensable_set(twisted_cubic) < brute
-    assert brute == graver_basis(twisted_cubic)
+    report = is_strongly_robust(twisted_cubic)
+    brute = graver_bruteforce(report.gale, 8)
+    assert report.indispensable < brute
+    assert brute == report.graver
 
 
 def test_bruteforce_antichain(example_matrix):
@@ -231,16 +232,16 @@ def test_no_shell_warning_at_default_radius(example_matrix):
 
 def test_bruteforce_matches_fan_on_random_instances():
     for m in random_valid_instances(25, seed=5150):
-        b = gale_transform(m)
-        assert graver_bruteforce(b, default_radius(m)) == graver_basis(m)
+        report = is_strongly_robust(m)
+        assert graver_bruteforce(report.gale, default_radius(m)) == report.graver
 
 
 def test_oracle_indispensable_agrees_on_random_instances():
     for m in random_valid_instances(10, seed=616):
-        b = gale_transform(m)
-        graver = graver_basis(m)
-        via_oracle = frozenset(x for x in graver if is_indispensable_oracle(b, x))
-        assert via_oracle == indispensable_set(m)
+        report = is_strongly_robust(m)
+        b = report.gale
+        via_oracle = frozenset(x for x in report.graver if is_indispensable_oracle(b, x))
+        assert via_oracle == report.indispensable
 
 
 def test_batched_indispensability_matches_per_binomial_calls():
@@ -248,8 +249,8 @@ def test_batched_indispensability_matches_per_binomial_calls():
     # its binomials; the answers must be those of one call per binomial.
     bundled = [load_matrix(str(DATA / f)) for f in ("example_4x6.mat", "twisted_cubic.mat")]
     for m in bundled + random_valid_instances(20, seed=20260810):
-        b = gale_transform(m)
-        graver = graver_basis(m)
+        report = is_strongly_robust(m)
+        b, graver = report.gale, report.graver
         per_call = frozenset(x for x in graver if is_indispensable_oracle(b, x))
         assert _indispensable_among(b, graver) == per_call
 

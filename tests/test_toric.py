@@ -11,10 +11,7 @@ from galerobust import (
     ZeroRowError,
     centrally_symmetric_hull,
     gale_transform,
-    graver_basis,
-    indispensable_set,
     is_strongly_robust,
-    markov_basis,
     reduce_configuration,
     render_binomial,
 )
@@ -99,16 +96,17 @@ def test_binomial_from_gale_rejects_a_zero_kernel_vector():
 
 
 def test_indispensable_example(example_matrix):
-    assert as_pairs(indispensable_set(example_matrix)) == EXAMPLE_BINOMIALS
+    assert as_pairs(is_strongly_robust(example_matrix).indispensable) == EXAMPLE_BINOMIALS
 
 
 def test_graver_equals_indispensable_on_example(example_matrix):
-    assert graver_basis(example_matrix) == indispensable_set(example_matrix)
+    report = is_strongly_robust(example_matrix)
+    assert report.graver == report.indispensable
 
 
 def test_twisted_cubic_strict_superset(twisted_cubic):
-    indisp = indispensable_set(twisted_cubic)
-    graver = graver_basis(twisted_cubic)
+    report = is_strongly_robust(twisted_cubic)
+    indisp, graver = report.indispensable, report.graver
     assert indisp < graver
     assert len(indisp) == 3
     assert len(graver) == 5
@@ -116,43 +114,40 @@ def test_twisted_cubic_strict_superset(twisted_cubic):
 
 def test_graver_superset_property():
     for m in random_valid_instances(20, seed=4242):
-        assert indispensable_set(m) <= graver_basis(m)
+        report = is_strongly_robust(m)
+        assert report.indispensable <= report.graver
 
 
 def test_indispensable_two_block_matrix_agrees_with_fiber_oracle():
     from galerobust import is_indispensable_oracle
 
     m = IntegerMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
-    b = gale_transform(m)
-    indisp = indispensable_set(m)
+    report = is_strongly_robust(m)
+    b, indisp, graver = report.gale, report.indispensable, report.graver
     assert as_pairs(indisp) == {
         ((1, 0, 0, 0), (0, 1, 0, 0)),
         ((0, 0, 1, 0), (0, 0, 0, 1)),
     }
-    graver = graver_basis(m)
     assert indisp == frozenset(x for x in graver if is_indispensable_oracle(b, x))
 
 
 def test_markov_example(example_matrix):
-    gens, ci = markov_basis(example_matrix)
-    assert not ci
-    assert as_pairs(gens) == EXAMPLE_BINOMIALS
+    report = is_strongly_robust(example_matrix)
+    assert not report.complete_intersection
+    assert as_pairs(report.indispensable) == EXAMPLE_BINOMIALS
 
 
 def test_markov_complete_intersection():
-    m = IntegerMatrix([[1, 1, 1]])
-    gens, ci = markov_basis(m)
-    assert ci and gens == frozenset()
-    report = is_strongly_robust(m)
-    assert report.complete_intersection
+    report = is_strongly_robust(IntegerMatrix([[1, 1, 1]]))
+    assert report.complete_intersection and report.indispensable == frozenset()
     assert not report.strongly_robust
     assert len(report.graver) == 3
 
 
 def test_markov_twisted_cubic(twisted_cubic):
-    gens, ci = markov_basis(twisted_cubic)
-    assert not ci
-    assert gens == indispensable_set(twisted_cubic)
+    report = is_strongly_robust(twisted_cubic)
+    assert not report.complete_intersection
+    assert len(report.indispensable) == 3
 
 
 def test_complete_intersection_iff_at_most_two_indispensables(acceptance_suite):
@@ -165,10 +160,9 @@ def test_complete_intersection_iff_at_most_two_indispensables(acceptance_suite):
     assert sum(flags) == 23
     m = acceptance_suite[7]
     assert m.rows == ((-2, 2, 0, 4), (-2, -3, -2, -1))
-    gens, ci = markov_basis(m)
-    assert ci
+    assert reports[7].complete_intersection
     # One binomial cannot generate a height-2 ideal: the set falls short.
-    assert [render_binomial(x) for x in gens] == ["x1*x4 - x2"]
+    assert [render_binomial(x) for x in reports[7].indispensable] == ["x1*x4 - x2"]
 
 
 def test_lawrence_lifting_small():
@@ -224,7 +218,7 @@ def _report_fields(report):
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
 def test_report_rejects_a_verdict_against_the_set_comparison(name, request):
     fields = _report_fields(is_strongly_robust(request.getfixturevalue(name)))
-    fields["strongly_robust"] = not fields["strongly_robust"]
+    fields["witness"] = (1, 0) if fields["witness"] is None else None
     with pytest.raises(ConsistencyError, match="direct Graver comparison disagree"):
         toric.RobustnessReport(**fields)
 
@@ -266,9 +260,8 @@ def test_hull_degenerate():
 
 def test_circuits_have_zero_coordinate_and_are_primitive():
     for m in random_valid_instances(15, seed=777):
-        b = gale_transform(m)
-        reduced = reduce_configuration(b)
-        graver = graver_basis(m)
+        report = is_strongly_robust(m)
+        b, reduced, graver = report.gale, report.reduced, report.graver
         for i, row in enumerate(reduced.rows):
             circ = binomial_from_gale(b, row)
             assert circ.vector[i] == 0
@@ -277,7 +270,7 @@ def test_circuits_have_zero_coordinate_and_are_primitive():
 
 def test_graver_elements_are_kernel_vectors():
     for m in random_valid_instances(10, seed=888):
-        for b in graver_basis(m):
+        for b in is_strongly_robust(m).graver:
             assert all(x == 0 for x in apply(m, b.vector))
 
 
@@ -299,8 +292,6 @@ def test_pair_binomials_match_reference(acceptance_suite):
         assert report.graver == reference_binomials(report.gale, full_turn(half))
         assert len(report.graver) == len(half)
         assert report.indispensable == reference_binomials(report.gale, report.h_core)
-        assert graver_basis(a) == report.graver
-        assert indispensable_set(a) == report.indispensable
 
 
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
@@ -359,12 +350,20 @@ def test_graver_element_from_a_gap_walk():
         (((1, 0, -1, 0), (0, 1, 0, -1)), GradingError),
     ],
 )
-def test_views_fail_like_the_decision(rows, error):
+def test_views_fail_like_the_decision(rows, error, tmp_path, capsys):
+    # The report's views are the subcommands that print its keys: each
+    # runs the one decision and fails with its error.
+    from galerobust.cli import main
+    from galerobust.matrixio import format_matrix
+
     a = IntegerMatrix(rows)
-    messages = set()
-    for fn in (graver_basis, indispensable_set, markov_basis, is_strongly_robust):
-        with pytest.raises(error) as info:
-            fn(a)
-        assert type(info.value) is error
-        messages.add(str(info.value))
-    assert len(messages) == 1
+    with pytest.raises(error) as info:
+        is_strongly_robust(a)
+    assert type(info.value) is error
+    path = tmp_path / "a.mat"
+    path.write_text(format_matrix(a))
+    capsys.readouterr()
+    for command in ("check", "graver", "indispensable", "markov"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {error.__name__}: {info.value}\n")

@@ -1,8 +1,7 @@
 """Value semantics of the public record types, of ``IntegerMatrix`` and of
 ``FiberEnumeration`` (a reference in conftest on the same base class).
 
-Each is immutable, compares and hashes by its fields (all of them but
-the provenance fields ``source``, ``gale`` and ``reduced``), prints as
+Each is immutable, compares and hashes by every stored field, prints as
 ``Name(field=value, ...)`` (``IntegerMatrix`` keeps its own form) and
 survives pickle and copy.
 """
@@ -20,11 +19,9 @@ from galerobust import (
     HilbertBasisSet,
     IntegerMatrix,
     ReducedGaleConfiguration,
-    RobustnessReport,
     gale_transform,
     is_strongly_robust,
     centrally_symmetric_hull,
-    reduce_configuration,
 )
 
 from conftest import (
@@ -37,9 +34,7 @@ from conftest import (
     enumerate_fiber,
 )
 
-GALE_ROWS = ((1, 2), (-2, 1), (-1, -2))
-
-# name -> (build, build with one compared field changed); each call
+# name -> (build, build with at least one field changed); each call
 # builds a new object.
 CASES = {
     "GaleConfiguration": (
@@ -103,20 +98,18 @@ def test_equal_fields_give_equal_objects(case):
     assert a != tuple(getattr(a, name) for name in a.__slots__)
 
 
-def test_provenance_fields_are_not_compared():
-    matrix = IntegerMatrix(EXAMPLE_A)
-    plain = GaleConfiguration(GALE_ROWS)
-    sourced = GaleConfiguration(GALE_ROWS, source=matrix)
-    assert sourced.source is matrix
-    assert sourced == plain and hash(sourced) == hash(plain)
-
-    report = is_strongly_robust(matrix)
-    other_gale = gale_transform(IntegerMatrix(TWISTED_CUBIC))
-    fields = {name: getattr(report, name) for name in RobustnessReport.__slots__}
-    fields.update(gale=other_gale, reduced=reduce_configuration(other_gale))
-    moved = RobustnessReport(**fields)
-    assert moved.gale is other_gale
-    assert moved == report and hash(moved) == hash(report)
+def test_every_stored_field_is_compared(case):
+    build, build_other = case
+    obj, other = build(), build_other()
+    fields = [getattr(obj, name) for name in obj.__slots__]
+    swapped = []
+    for k, name in enumerate(obj.__slots__):
+        if getattr(other, name) != fields[k]:
+            # Only field k differs from obj.
+            moved = type(obj)._trusted(*fields[:k], getattr(other, name), *fields[k + 1:])
+            assert moved != obj, name
+            swapped.append(name)
+    assert swapped
 
 
 def test_fields_are_read_only(case):
