@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": (
         "ConsistencyError",
-        "DegenerateError",
         "GaleRobustError",
         "GradingError",
         "MatrixFormatError",
@@ -55,7 +54,6 @@ _HOMES = {
     "toric": (
         "Binomial",
         "RobustnessReport",
-        "centrally_symmetric_hull",
         "is_strongly_robust",
         "render_binomial",
     ),

@@ -228,12 +228,12 @@ def cmd_bouquets(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .svgplot import diagram_for_report
+    from .svgplot import render_svg
     from .toric import is_strongly_robust
 
     m = load_matrix(args.path, args.json)
     report = is_strongly_robust(m)
-    svg = diagram_for_report(report)
+    svg = render_svg(report.reduced.rows, report.h_core)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.out}", file=sys.stderr)

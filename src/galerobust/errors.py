@@ -17,10 +17,6 @@ class ZeroRowError(GaleRobustError):
     """A Gale row is the zero vector; the variable must be removed first."""
 
 
-class DegenerateError(GaleRobustError):
-    """A geometric object degenerates (e.g. a convex hull is not 2-dimensional)."""
-
-
 class ConsistencyError(GaleRobustError):
     """Two independent criteria that must agree produced different answers."""
 

@@ -5,11 +5,11 @@ strictly below pi) has a unique minimal generating set of its lattice
 monoid: the Hirzebruch–Jung chain from a to b, built in one walk with
 one step per basis element.
 
-A fan union is assembled in walk order: consecutive cones share a
-generator and each walk is already counterclockwise, so the chains are
-joined and rotated to start at angle 0, with no sort.  The fan over
-{±rows} is centrally symmetric; one half-turn of its union, read off
-the plain union, holds each ± pair once.
+``fan_hilbert_union`` assembles the union in walk order: consecutive
+cones share a generator and each walk is already counterclockwise, so
+the chains are joined and rotated to start at angle 0, with no sort.
+The fan over {±rows} is centrally symmetric; one half-turn of its
+union, read off the plain union, holds each ± pair once.
 """
 
 from __future__ import annotations
@@ -39,15 +39,11 @@ class Cone2D(_Value):
     def __init__(self, a: Vec2, b: Vec2):
         a = (index(a[0]), index(a[1]))
         b = (index(b[0]), index(b[1]))
-        if not planar.is_primitive(a) or not planar.is_primitive(b):
+        if gcd(*a) != 1 or gcd(*b) != 1:
             raise ValueError("cone generators must be primitive")
         if cross(a, b) <= 0:
             raise ValueError("generators must be counterclockwise with angle < pi")
         super().__init__(a, b)
-
-    @property
-    def det(self) -> int:
-        return cross(self.a, self.b)
 
 
 class HilbertBasisSet(_Value):
@@ -106,7 +102,6 @@ def _fan_cones(dirs: tuple[Vec2, ...]) -> list[Cone2D]:
         # One primitivity check per direction; the cross product below is
         # the counterclockwise check, so the cones are built trusted.
         x, y = d
-        # planar.is_primitive(d).
         if gcd(x, y) != 1:
             raise ValueError("cone generators must be primitive")
         # cross(d, nxt) <= 0.
@@ -118,11 +113,16 @@ def _fan_cones(dirs: tuple[Vec2, ...]) -> list[Cone2D]:
     return Cone2D._trusted_all(dirs, nexts)
 
 
-def _union_in_walk_order(cones: list[Cone2D], chains) -> HilbertBasisSet:
-    """Assemble the fan union from each cone's counterclockwise chain.
+def fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
+    """Union of the Hilbert bases of all consecutive cones of the fan.
 
-    Cone i ends where cone i+1 starts, so the chains without their first
-    vectors list every vector once, counterclockwise from just after
+    Duplicate directions are collapsed; the fan is built over the distinct
+    directions in counterclockwise order, wrapping around.  Raises
+    GradingError if any consecutive pair spans an angle of pi or more,
+    which happens exactly when the configuration is not positively graded.
+
+    Cone i ends where cone i+1 starts, so the counterclockwise chains
+    without their first vectors list every vector once, from just after
     dirs[0] round to dirs[0].  The wrap-around chain crosses angle 0 once;
     its vectors from there on (half 0) move to the front, which gives the
     angular order from 0 without sorting: Hilbert basis elements are
@@ -134,10 +134,11 @@ def _union_in_walk_order(cones: list[Cone2D], chains) -> HilbertBasisSet:
     The labels are built per chain, a repeated (i,) and one shared label,
     and zipped with the vectors once.
     """
+    cones = _fan_cones(config.distinct_directions())
     last = len(cones) - 1
     vectors: list[Vec2] = []
     labels: list[tuple[int, ...]] = []
-    for i, chain in enumerate(chains):
+    for i, chain in enumerate(map(hilbert_basis, cones)):
         vectors.extend(chain[1:])
         labels.extend([(i,)] * (len(chain) - 2))
         labels.append((i, i + 1) if i < last else (0, last))
@@ -148,18 +149,6 @@ def _union_in_walk_order(cones: list[Cone2D], chains) -> HilbertBasisSet:
     return HilbertBasisSet._trusted(
         tuple(vectors), tuple(zip(vectors, labels[split:] + labels[:split])), tuple(cones)
     )
-
-
-def fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
-    """Union of the Hilbert bases of all consecutive cones of the fan.
-
-    Duplicate directions are collapsed; the fan is built over the distinct
-    directions in counterclockwise order, wrapping around.  Raises
-    GradingError if any consecutive pair spans an angle of pi or more,
-    which happens exactly when the configuration is not positively graded.
-    """
-    cones = _fan_cones(config.distinct_directions())
-    return _union_in_walk_order(cones, list(map(hilbert_basis, cones)))
 
 
 def _half_merge(vectors: tuple[Vec2, ...]) -> list[Vec2]:

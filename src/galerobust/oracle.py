@@ -84,8 +84,9 @@ def is_indispensable_oracle(b: GaleConfiguration, binomial: Binomial) -> bool:
     """Definition check: fiber of the plus part is exactly {plus, minus}.
 
     The Binomial's constructor guarantees disjoint, nonnegative parts
-    that are not both zero; here it must also have length n, and
-    plus - minus must be a kernel vector of the configuration.
+    that are not both zero; here it must also have length n, B must be
+    positively graded (GradingError otherwise), and plus - minus must be
+    a kernel vector of the configuration.
     """
     return bool(_indispensable_among(b, (binomial,)))
 
@@ -94,46 +95,38 @@ def _indispensable_among(b: GaleConfiguration, binomials) -> frozenset[Binomial]
     """The members of ``binomials`` whose plus part has the fiber {plus, minus}.
 
     Each binomial is checked as ``is_indispensable_oracle`` states, in
-    iteration order, and the first bad one raises.  An independent pair
-    of B's rows is found once for all of them; B's grading is checked
-    and its columns reduced once, at the first binomial.
+    iteration order, and the first bad one raises.  At the first
+    binomial, before its kernel-membership check, B's grading is checked
+    and its columns reduced, and the first independent pair of B's rows
+    is found: the rows of a graded configuration span the plane.
     """
-    pair = _independent_pair(b.rows)
-    rows = None
+    rows = pair = None
     kept = []
     for x in binomials:
         plus, minus = x.plus, x.minus
         if len(plus) != b.n:
             raise ValueError("binomial length does not match configuration size")
-        if not _is_kernel_vector(b.rows, pair, x.vector):
-            raise ValueError("plus - minus is not a kernel vector of the configuration")
         if rows is None:
             rows = _fiber_rows(b)
+            pair = next(
+                (i, j, d)
+                for i, j in combinations(range(b.n), 2)
+                if (d := cross(b.rows[i], b.rows[j]))
+            )
+        if not _is_kernel_vector(b.rows, pair, x.vector):
+            raise ValueError("plus - minus is not a kernel vector of the configuration")
         # The fiber holds plus and minus; a third point decides the answer.
         if set(islice(_fiber_walk(rows, plus), 3)) == {plus, minus}:
             kept.append(x)
     return frozenset(kept)
 
 
-def _independent_pair(rows):
-    """(i, j, d) for the first rows i < j with d = cross(rows[i], rows[j]) != 0.
-
-    None when all rows lie on one line.
-    """
-    for i, j in combinations(range(len(rows)), 2):
-        d = cross(rows[i], rows[j])
-        if d:
-            return i, j, d
-    return None
-
-
 def _is_kernel_vector(rows, pair, z) -> bool:
-    """Whether z = B u for an integer u; ``pair`` is ``_independent_pair(rows)``.
+    """Whether z = B u for an integer u.
 
-    u is solved from the pair's two rows and checked against every row.
+    ``pair`` is (i, j, d) with d = cross(rows[i], rows[j]) != 0; u is
+    solved from these two rows and checked against every row.
     """
-    if pair is None:
-        return False
     i, j, d = pair
     u1, r1 = divmod(z[i] * rows[j][1] - z[j] * rows[i][1], d)
     u2, r2 = divmod(rows[i][0] * z[j] - rows[j][0] * z[i], d)

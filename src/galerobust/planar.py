@@ -7,7 +7,6 @@ comparisons and hull constructions are exact.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import index
 from typing import Iterable, Sequence
 
@@ -17,10 +16,6 @@ Vec2 = tuple[int, int]
 def cross(u: Sequence[int], v: Sequence[int]) -> int:
     """2D cross product u1*v2 - u2*v1."""
     return u[0] * v[1] - u[1] * v[0]
-
-
-def is_primitive(v: Sequence[int]) -> bool:
-    return gcd(abs(v[0]), abs(v[1])) == 1
 
 
 def _half(v: Sequence[int]) -> int:

@@ -14,11 +14,9 @@ _VIEW = 800
 _MARGIN = 60
 
 
-def render_svg(
-    rows: tuple[Vec2, ...],
-    core: tuple[Vec2, ...],
-    hull: list[Vec2],
-) -> str:
+def render_svg(rows: tuple[Vec2, ...], core: tuple[Vec2, ...]) -> str:
+    """SVG of the reduced ``rows`` as arrows, ``core`` as dots and the hull of ``rows``."""
+    hull = planar.convex_hull(rows)
     extent = 1
     for (x, y) in list(rows) + list(core) + list(hull):
         extent = max(extent, abs(x), abs(y))
@@ -65,9 +63,3 @@ def render_svg(
         out.append(f'<circle class="ha-dot" cx="{x2}" cy="{y2}" r="5" fill="#b22222"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def diagram_for_report(report) -> str:
-    """SVG for a robustness report (arrows, core dots, hull outline)."""
-    hull = planar.convex_hull(report.reduced.rows)
-    return render_svg(report.reduced.rows, report.h_core, hull)

@@ -16,7 +16,7 @@ from operator import index
 
 from . import planar
 from ._value import _Value
-from .errors import ConsistencyError, DegenerateError
+from .errors import ConsistencyError
 from .gale import (
     Bouquet,
     GaleConfiguration,
@@ -128,15 +128,6 @@ def _gale_binomials(b: GaleConfiguration, us: list[Vec2]) -> list[Binomial]:
     return _trusted_binomials([[r0 * x + r1 * y for x, y in us] for r0, r1 in b.rows])
 
 
-def centrally_symmetric_hull(config: ReducedGaleConfiguration) -> bool:
-    """Whether conv of the reduced rows has a negation-invariant vertex set."""
-    hull = planar.convex_hull(config.rows)
-    if len(hull) < 3:
-        raise DegenerateError("convex hull of the reduced rows is not 2-dimensional")
-    verts = set(hull)
-    return verts == {(-x, -y) for x, y in verts}
-
-
 class RobustnessReport(_Value):
     """Verdict plus every certificate used to reach it.
 
@@ -180,7 +171,13 @@ class RobustnessReport(_Value):
 
     @property
     def centrally_symmetric(self) -> bool:
-        return centrally_symmetric_hull(self.reduced)
+        """Whether conv of the reduced rows has a negation-invariant vertex set.
+
+        A report exists only for a positively graded configuration, so
+        the rows positively span the plane and the hull is 2-dimensional.
+        """
+        verts = set(planar.convex_hull(self.reduced.rows))
+        return verts == {(-x, -y) for x, y in verts}
 
     @property
     def complete_intersection(self) -> bool:

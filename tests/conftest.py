@@ -680,7 +680,7 @@ def _cone_parallelepiped_points(cone):
     """
     ax, ay = cone.a
     bx, by = cone.b
-    det = cone.det
+    det = cross(cone.a, cone.b)
     xs = (0, ax, bx, ax + bx)
     ys = (0, ay, by, ay + by)
     pts = []

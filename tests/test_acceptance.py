@@ -207,7 +207,7 @@ def test_criterion_7_hilbert_dual_characterization():
         k = rng.randint(0, 3)
         b = (w[0] + k * a[0], w[1] + k * a[1])
         cone = Cone2D(a, b)
-        assert cone.det == 1
+        assert cross(cone.a, cone.b) == 1
         if hilbert_basis(cone) != (a, b):
             unimodular_bad += 1
     ok = mismatches == 0 and unimodular_bad == 0

@@ -157,3 +157,22 @@ def test_star_and_submodule_imports_still_work():
     assert doc["oracle"] == "galerobust.oracle"
     assert doc["cone"] is True
     assert doc["fn"] == "galerobust.toric"
+
+
+def test_benchmark_script_imports(monkeypatch):
+    """benchmarks/bench_kernels.py imports every name it reads from the package.
+
+    Its ``main`` runs only under ``__main__``, so loading the script runs
+    no benchmark.  A name that leaves the package fails here; an
+    attribute the script reads at run time (say ``b.source`` on a value)
+    is not checked by an import.
+    """
+    import importlib.util
+
+    path = PACKAGE.parent.parent / "benchmarks" / "bench_kernels.py"
+    # The script puts src/ and tests/ in front of sys.path; undo that after.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

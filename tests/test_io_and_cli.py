@@ -213,6 +213,21 @@ def test_json_integer_past_digit_limit_exit_two(tmp_path, capsys):
     assert captured.err == _json_error_line(big.read_text())
 
 
+def test_text_entry_past_digit_limit_exit_two(tmp_path, capsys):
+    # int() raises a plain ValueError past the interpreter's 4300-digit
+    # limit for int conversion; the entry passes the digit check first.
+    big = tmp_path / "big.mat"
+    entry = "7" * 5000
+    big.write_text(f"1 3\n{entry} 1 1\n")
+    with pytest.raises(ValueError) as exc:
+        int(entry)
+    rc = main(["check", str(big)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: MatrixFormatError: bad entry: {exc.value}\n"
+
+
 def test_json_nesting_past_recursion_limit_exit_two(tmp_path, capsys):
     # json.loads raises RecursionError, not a ValueError, on deep nesting.
     deep = tmp_path / "deep.json"
@@ -263,6 +278,21 @@ def test_graver_oracle_flag(capsys):
     doc = json.loads(out)
     assert doc["oracle"]["graver_match"] is True
     assert doc["oracle"]["indispensable_match"] is True
+
+
+def test_oracle_mismatch_exit_three(monkeypatch, capsys):
+    import galerobust.oracle
+
+    real = galerobust.oracle.graver_bruteforce
+
+    def short_by_one(b, radius):
+        # The true set less its least element.
+        return frozenset(sorted(real(b, radius))[1:])
+
+    monkeypatch.setattr(galerobust.oracle, "graver_bruteforce", short_by_one)
+    rc, out = run_cli(capsys, "graver", EXAMPLE_FILE, "--oracle")
+    assert rc == 3
+    assert json.loads(out)["oracle"]["graver_match"] is False
 
 
 def test_indispensable_and_markov_commands(capsys):

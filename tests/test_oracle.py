@@ -221,6 +221,9 @@ def test_shell_warning_on_small_radius(twisted_cubic):
     b = gale_transform(twisted_cubic)
     with pytest.warns(ShellWarning):
         graver_bruteforce(b, 2)
+    # A box of radius 0 holds no nonzero vector at all.
+    with pytest.raises(ValueError, match="radius must be positive"):
+        graver_bruteforce(b, 0)
 
 
 def test_no_shell_warning_at_default_radius(example_matrix):
@@ -268,3 +271,11 @@ def test_batched_indispensability_raises_as_per_binomial_calls(example_matrix):
         _indispensable_among(ungraded, [valid])
     # No binomial, no call: nothing is checked.
     assert _indispensable_among(ungraded, []) == frozenset()
+    # Rank 1: the rows span no plane, so no fiber is bounded.  B (1, 0)
+    # is a kernel vector, and the grading is checked before that.
+    rank_one = GaleConfiguration(rows=((1, 0), (2, 0), (-1, 0)))
+    on_the_line = Binomial((1, 2, 0), (0, 0, 1))
+    with pytest.raises(GradingError):
+        is_indispensable_oracle(rank_one, on_the_line)
+    with pytest.raises(GradingError):
+        _indispensable_among(rank_one, [on_the_line])

@@ -4,19 +4,17 @@ import pytest
 from galerobust import (
     Binomial,
     ConsistencyError,
-    DegenerateError,
     GradingError,
     IntegerMatrix,
     RankError,
     ZeroRowError,
-    centrally_symmetric_hull,
     gale_transform,
     is_strongly_robust,
-    reduce_configuration,
     render_binomial,
 )
 from galerobust import toric
-from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
+from galerobust.gale import GaleConfiguration
+from galerobust.planar import convex_hull
 
 from conftest import (
     EXAMPLE_BINOMIALS,
@@ -46,6 +44,8 @@ def test_binomial_validation():
         Binomial(plus=(0, 0), minus=(0, 0))
     with pytest.raises(ValueError):
         Binomial(plus=(0, 1), minus=(1, 0))  # wrong sign order
+    with pytest.raises(ValueError, match="exponent vectors differ in length"):
+        Binomial(plus=(1, 0), minus=(0,))
     Binomial(plus=(1, 0), minus=(0, 1))
 
 
@@ -232,30 +232,23 @@ def test_report_rejects_an_indispensable_set_outside_the_graver_basis(example_ma
 
 
 def test_hull_symmetry_example(example_matrix):
-    reduced = reduce_configuration(gale_transform(example_matrix))
-    assert centrally_symmetric_hull(reduced)
-    from galerobust.planar import convex_hull
-
-    assert set(convex_hull(reduced.rows)) == {(-2, 1), (1, 2), (2, -1), (-1, -2)}
+    report = is_strongly_robust(example_matrix)
+    assert report.centrally_symmetric
+    assert set(convex_hull(report.reduced.rows)) == {(-2, 1), (1, 2), (2, -1), (-1, -2)}
 
 
 def test_hull_symmetry_odd_triangle():
-    reduced = ReducedGaleConfiguration(rows=((1, 0), (0, 1), (-1, -1)), angular_order=(0, 1, 2))
-    assert not centrally_symmetric_hull(reduced)
+    # [[1, 1, 1]] has the Gale rows (1, 0), (0, 1), (-1, -1) up to a basis change.
+    report = is_strongly_robust(IntegerMatrix([[1, 1, 1]]))
+    assert len(convex_hull(report.reduced.rows)) == 3
+    assert not report.centrally_symmetric
 
 
 def test_hull_symmetry_cross():
-    reduced = ReducedGaleConfiguration(
-        rows=((1, 0), (-1, 0), (0, 1), (0, -1)),
-        angular_order=(0, 2, 1, 3),
-    )
-    assert centrally_symmetric_hull(reduced)
-
-
-def test_hull_degenerate():
-    reduced = ReducedGaleConfiguration(rows=((1, 0), (2, 0), (3, 0)), angular_order=(0, 1, 2))
-    with pytest.raises(DegenerateError):
-        centrally_symmetric_hull(reduced)
+    # Two disjoint pairs of equal columns: the Gale rows are ±e1 and ±e2.
+    report = is_strongly_robust(IntegerMatrix([[1, 1, 0, 0], [0, 0, 1, 1]]))
+    assert len(convex_hull(report.reduced.rows)) == 4
+    assert report.centrally_symmetric
 
 
 def test_circuits_have_zero_coordinate_and_are_primitive():

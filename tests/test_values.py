@@ -21,8 +21,8 @@ from galerobust import (
     ReducedGaleConfiguration,
     gale_transform,
     is_strongly_robust,
-    centrally_symmetric_hull,
 )
+from galerobust.planar import convex_hull
 
 from conftest import (
     EXAMPLE_A,
@@ -182,9 +182,7 @@ def test_binomial_constructor_stores_int_tuples():
         lambda: Cone2D((1.5, 0), (0, 1)),
         lambda: GaleConfiguration(((2.5, 1), (-1, 1), (-1, -2))),
         lambda: enumerate_fiber(GaleConfiguration(EXAMPLE_GALE_ROWS), [1.5, 0, 0, 0, 0, 0]),
-        lambda: centrally_symmetric_hull(
-            ReducedGaleConfiguration(((1.5, 0), (0, 1), (-1, 0), (0, -1)), (1, 2, 3, 0))
-        ),
+        lambda: convex_hull(((1.5, 0), (0, 1), (-1, 0), (0, -1))),
     ],
     ids=["Binomial", "from_vector", "binomial_from_gale", "Cone2D", "GaleConfiguration",
          "enumerate_fiber", "convex_hull"],
