@@ -15,7 +15,11 @@ planar kernel ``gale_transform`` runs (back substitution and the
 saturation in Z^2), the Lagrange reduction with the configuration,
 ``reduce_configuration``, ``is_positively_graded`` and ``bouquets``; the
 back-substitution and Lagrange stages are differences of two timings of
-the same matrix.  Then, over 100 seeded problems drawn like
+the same matrix.  Then the forward elimination alone, the one-step
+reference in the tests' conftest against the package's two-step form,
+on 20 seeded dense (n-2) x n matrices per cell, n 12, 18, 24 and 32,
+entries in +-9 and +-2^64: microseconds per call (best of N, the two
+timed in turn) and their ratio.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
 of the plain fan union, the half-turn of the symmetrized fan read off
 that union, and the Graver binomials built from it in one batch (one
@@ -73,7 +77,7 @@ from galerobust.hilbert import symmetrized_half_turn
 from galerobust.oracle import _box_scan
 from galerobust.toric import _gale_binomials
 
-from conftest import kernel_lattice_basis, transpose
+from conftest import kernel_lattice_basis, reference_bareiss_forward, transpose
 
 
 def _random_rows(rng, n, bound):
@@ -171,6 +175,38 @@ def bench_gale_stages(repeat):
     print(f"{'stage':<30} {'median (us)':>12}")
     for name, times in stages.items():
         print(f"{name:<30} {statistics.median(times):>12.1f}")
+
+
+FORWARD_SIZES = (12, 18, 24, 32)
+FORWARD_BOUNDS = (9, 2**64)
+
+
+def bench_forward_sweep(repeat, sizes=FORWARD_SIZES, bounds=FORWARD_BOUNDS, count=20):
+    """Two-step ``_bareiss_forward`` against the one-step reference in conftest.
+
+    Per cell, ``count`` seeded dense (n-2) x n matrices with entries in
+    +-bound; the two are timed in turn on each repeat, so that a drift in
+    machine speed moves both alike.
+    """
+    print("forward elimination: (n-2) x n dense matrices, best of N, us per call")
+    print(f"{'n':>4} {'entries':>8} {'one-step':>10} {'two-step':>10} {'ratio':>6}")
+    for n in sizes:
+        for bound in bounds:
+            rng = random.Random(n * 1000 + bound.bit_length())
+            mats = [
+                [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n - 2)]
+                for _ in range(count)
+            ]
+            best = {reference_bareiss_forward: float("inf"), _bareiss_forward: float("inf")}
+            for _ in range(repeat):
+                for fn in best:
+                    t0 = time.perf_counter()
+                    for rows in mats:
+                        fn(list(rows), n)
+                    best[fn] = min(best[fn], (time.perf_counter() - t0) / count)
+            ref, pkg = best.values()
+            label = f"+-{bound}" if bound < 1000 else f"+-2^{bound.bit_length() - 1}"
+            print(f"{n:>4} {label:>8} {ref * 1e6:>10.1f} {pkg * 1e6:>10.1f} {pkg / ref:>6.2f}")
 
 
 def _fan_problems(count, seed):
@@ -286,6 +322,8 @@ def main():
     bench_gale_transform()
     print()
     bench_gale_stages(args.repeat)
+    print()
+    bench_forward_sweep(args.repeat)
     print()
     bench_fan_layers(args.repeat)
     print()

@@ -19,10 +19,11 @@ followed by their own keys of the report document:
 
 A subcommand imports only the modules it runs: the fan pipeline
 (``toric``, ``hilbert``) and ``svgplot`` are imported inside the commands
-that use them, so ``gale`` and ``bouquets`` never load them, and
-``oracle`` is imported only on the oracle paths (the ``oracle``
-subcommand and ``--oracle``).  ``json`` is imported only to read
-``--json`` input or to quote a string that is not plain printable ASCII.
+that use them, so ``gale`` and ``bouquets`` never load them and ``plot``
+loads no ``toric``, and ``oracle`` is imported only on the oracle paths
+(the ``oracle`` subcommand and ``--oracle``).  ``json`` is imported only
+to read ``--json`` input or to quote a string that is not plain
+printable ASCII.
 """
 
 from __future__ import annotations
@@ -228,12 +229,14 @@ def cmd_bouquets(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    # The drawing needs only the reduced rows and the symmetric core: the
+    # stages of is_strongly_robust up to the core, which fail as it does.
+    from .hilbert import fan_hilbert_union, symmetric_core
     from .svgplot import render_svg
-    from .toric import is_strongly_robust
 
     m = load_matrix(args.path, args.json)
-    report = is_strongly_robust(m)
-    svg = render_svg(report.reduced.rows, report.h_core)
+    reduced = reduce_configuration(gale_transform(m))
+    svg = render_svg(reduced.rows, symmetric_core(fan_hilbert_union(reduced)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.out}", file=sys.stderr)

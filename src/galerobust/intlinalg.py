@@ -1,9 +1,14 @@
 """Exact integer linear algebra for corank 2: rank, planar kernel, planar HNF.
 
-Rank and kernel come from one forward fraction-free (Bareiss)
-elimination: it updates only the rows below each pivot, and every
-division in it is exact by Sylvester's identity, so its entries are
-minors of the input and never swell beyond the Hadamard bound.
+Rank and kernel come from one forward fraction-free elimination in
+Bareiss's two-step form (E. H. Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968): each pass takes two pivots and updates the rows below them once,
+so it makes half the passes and divisions of the one-step form, and
+falls back to one step where the next column holds no second pivot.
+Every division in it is exact by Sylvester's identity, so its entries
+are minors of the input and never swell beyond the Hadamard bound, and
+its result is the one-step form's, entry for entry.
 `_planar_kernel` checks the rank right after the elimination, before
 any back substitution.  Back substitution in the echelon form, with
 exact division, gives two kernel vectors that span the rational kernel
@@ -84,7 +89,7 @@ class IntegerMatrix(_Value):
 def _bareiss_forward(
     a: list[Sequence[int]], ncols: int
 ) -> tuple[list[int], list[Sequence[int]], int]:
-    """Forward fraction-free (Bareiss) elimination of the rows a.
+    """Forward fraction-free (Bareiss) elimination of the rows a, two pivots a pass.
 
     Returns (pivots, U, D): the pivot column of each nonzero row, the
     nonzero rows U of the echelon form, and the last pivot D.  U[i] is
@@ -94,11 +99,30 @@ def _bareiss_forward(
     negates a row, so for a square input of full rank D is its
     determinant.  The list a is reordered and updated in place; no row
     in it is modified.
+
+    A pass starts at pivot row r, pivot p at column c, with prev the
+    pivot before p (1 at the start).  The one-step entry of row i in
+    column c+1 is e_i = (p a[i][c+1] - a[i][c] a[r][c+1]) / prev, and
+    the first row i > r with e_i != 0 holds the second pivot q; it is
+    swapped up to r+1, negating the row it displaces.  Row r+1 takes its
+    one-step update, and with b the row r+1 before it, each row i > r+1
+    takes its two-step value in one step:
+
+        a[i][j] = (q a[i][j] + g_i a[r][j] - e_i b[j]) / prev,
+        g_i = (a[i][c+1] b[c] - b[c+1] a[i][c]) / prev.
+
+    By Sylvester's identity e_i, g_i and the new entries are minors of
+    the row-permuted input, so every division is exact, and (pivots, U,
+    D) is what the one-step form returns, entry for entry.  Where there
+    is no second pivot (column c+1 has none, or is past the end, or r is
+    the last row) the pass takes one step, as the one-step form does:
+    a[i][j] = (p a[i][j] - a[i][c] a[r][j]) / prev.
     """
     nr = len(a)
     pivots: list[int] = []
     prev = 1
-    for col in range(ncols):
+    col = 0
+    while col < ncols:
         r = len(pivots)
         if r == nr:
             break
@@ -106,21 +130,56 @@ def _bareiss_forward(
         if a[r][col] == 0:
             sel = next((i for i in range(r + 1, nr) if a[i][col] != 0), None)
             if sel is None:
+                col += 1
                 continue
             a[r], a[sel] = a[sel], [-x for x in a[r]]
         prow = a[r]
         p = prow[col]
-        tail = prow[col + 1 :]
-        # The rows below the pivot are zero before col.
-        lead = [0] * (col + 1)
-        for i in range(r + 1, nr):
-            row = a[i]
-            f = row[col]
-            if f == 0 and p == prev:
-                continue
-            a[i] = lead + [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
-        pivots.append(col)
-        prev = p
+        c1 = col + 1
+        # The rows below the pivot are zero before col.  The second pivot
+        # q is the first nonzero one-step entry e_s in column c1 below row r.
+        q = 0
+        if c1 < ncols:
+            y0 = prow[c1]
+            for s in range(r + 1, nr):
+                row = a[s]
+                q = (p * row[c1] - row[col] * y0) // prev
+                if q:
+                    break
+        if not q:
+            tail = prow[c1:]
+            lead = [0] * c1
+            for i in range(r + 1, nr):
+                row = a[i]
+                f = row[col]
+                if f == 0 and p == prev:
+                    continue
+                a[i] = lead + [(p * x - f * y) // prev for x, y in zip(row[c1:], tail)]
+            pivots.append(col)
+            prev = p
+            col = c1
+            continue
+        if s > r + 1:
+            a[r + 1], a[s] = a[s], [-x for x in a[r + 1]]
+        # Row r+1 takes its one-step update, with pivot q at c1; each row
+        # below goes straight to its two-step value, read off rows r and
+        # r+1 as they were before this pass.
+        b = a[r + 1]
+        f, h = b[col], b[c1]
+        tail = prow[c1 + 1 :]
+        btail = b[c1 + 1 :]
+        lead = [0] * (c1 + 1)
+        a[r + 1] = lead[:c1] + [q] + [(p * x - f * y) // prev for x, y in zip(btail, tail)]
+        a[r + 2 :] = [
+            lead
+            + [(q * x + g * y - e * z) // prev for x, y, z in zip(row[c1 + 1 :], tail, btail)]
+            for row in a[r + 2 :]
+            for e in [(p * row[c1] - row[col] * y0) // prev]
+            for g in [(row[c1] * f - h * row[col]) // prev]
+        ]
+        pivots += (col, c1)
+        prev = q
+        col = c1 + 1
     return pivots, a[: len(pivots)], prev
 
 

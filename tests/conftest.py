@@ -249,6 +249,42 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     return IntegerMatrix(h), IntegerMatrix(u)
 
 
+def reference_bareiss_forward(a: list, ncols: int) -> tuple[list[int], list, int]:
+    """One-step fraction-free (Bareiss) elimination: one pass per pivot.
+
+    The form the package's ``_bareiss_forward`` had before it took two
+    pivots per pass; it returns the same (pivots, U, D).  Each pass
+    replaces every row i below pivot row r, pivot p at column c, by
+    (p * a[i][j] - a[i][c] * a[r][j]) // prev, where prev is the pivot
+    before p; a row swap negates the row it displaces.
+    """
+    nr = len(a)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        if a[r][col] == 0:
+            sel = next((i for i in range(r + 1, nr) if a[i][col] != 0), None)
+            if sel is None:
+                continue
+            a[r], a[sel] = a[sel], [-x for x in a[r]]
+        prow = a[r]
+        p = prow[col]
+        tail = prow[col + 1 :]
+        lead = [0] * (col + 1)
+        for i in range(r + 1, nr):
+            row = a[i]
+            f = row[col]
+            if f == 0 and p == prev:
+                continue
+            a[i] = lead + [(p * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
+        pivots.append(col)
+        prev = p
+    return pivots, a[: len(pivots)], prev
+
+
 def determinant(m: IntegerMatrix) -> int:
     """Exact determinant: the last pivot of the package's fraction-free
     elimination, which is the determinant for a square input of full rank.

@@ -74,6 +74,7 @@ def bare_modules() -> set:
         ("check", PLOT | ORACLE),
         ("graver", PLOT | ORACLE),
         ("markov", PLOT | ORACLE),
+        ("plot", {"galerobust.toric"} | ORACLE),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, cmd, absent):
@@ -159,13 +160,14 @@ def test_star_and_submodule_imports_still_work():
     assert doc["fn"] == "galerobust.toric"
 
 
-def test_benchmark_script_imports(monkeypatch):
+def test_benchmark_script_imports(monkeypatch, capsys):
     """benchmarks/bench_kernels.py imports every name it reads from the package.
 
     Its ``main`` runs only under ``__main__``, so loading the script runs
     no benchmark.  A name that leaves the package fails here; an
     attribute the script reads at run time (say ``b.source`` on a value)
-    is not checked by an import.
+    is not checked by an import.  The forward-elimination sweep runs
+    once, on its smallest cell and one matrix.
     """
     import importlib.util
 
@@ -176,3 +178,7 @@ def test_benchmark_script_imports(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+    module.bench_forward_sweep(1, sizes=module.FORWARD_SIZES[:1],
+                               bounds=module.FORWARD_BOUNDS[:1], count=1)
+    n, entries, *_ = capsys.readouterr().out.splitlines()[-1].split()
+    assert (n, entries) == ("12", "+-9")

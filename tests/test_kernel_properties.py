@@ -1,6 +1,8 @@
 """Property tests, drawn by hypothesis, for the kernel, the Gale transform
 and the trusted binomial constructor.
 
+The two-step forward elimination must return what the one-step form
+(``reference_bareiss_forward`` in conftest) does, entry for entry.
 The rank and the kernel are compared with the old transform-carrying
 Hermite normal form (``reference_rank`` and ``reference_kernel`` in
 conftest), and the Gale rows must not change under unimodular row
@@ -24,7 +26,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galerobust import (
@@ -37,6 +39,7 @@ from galerobust import (
     rank,
 )
 from galerobust.gale import _lagrange_reduced_columns
+from galerobust.intlinalg import _bareiss_forward
 
 from conftest import (
     binomial_from_vector,
@@ -44,6 +47,7 @@ from conftest import (
     is_zero,
     kernel_lattice_basis,
     matmul,
+    reference_bareiss_forward,
     reference_kernel,
     reference_lagrange,
     reference_rank,
@@ -81,6 +85,63 @@ def test_rank_and_kernel_match_hnf_reference(m):
     k = kernel_lattice_basis(m)
     assert k == reference_kernel(m)
     assert k.ncols == m.ncols - rank(m)
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """Rows and width: 1-9 rows, 1-11 columns, entries to 2**70.
+
+    Zero, repeated and summed rows, zero columns, a singular leading 2x2
+    block (so the second pivot needs a swap or is missing) and a column
+    that is a multiple of the one before it (no second pivot there).
+    """
+    nr = draw(st.integers(1, 9))
+    nc = draw(st.integers(1, 11))
+    bound = draw(st.sampled_from([1, 9, 2**20, 2**70]))
+    entry = st.integers(-bound, bound)
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["free", "free", "zero", "repeat", "sum"]))
+        if kind == "zero":
+            rows.append([0] * nc)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "sum" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([p + q for p, q in zip(x, y)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    for j in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    if nr >= 2 and nc >= 2 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        rows[1][:2] = [c * x for x in rows[0][:2]]
+    if nc >= 2 and draw(st.booleans()):
+        j = draw(st.integers(0, nc - 2))
+        c = draw(st.integers(-2, 2))
+        for row in rows:
+            row[j + 1] = c * row[j]
+    return rows, nc
+
+
+@settings(max_examples=600, deadline=None)
+@given(_elimination_inputs())
+# The second pivot only after a swap: rows 0 and 1 are singular on columns 0, 1.
+@example(([[1, 2, 3], [2, 4, 5], [0, 1, 1]], 3))
+# Column 1 holds no second pivot, then a single pass on the last column.
+@example(([[1, 2, 3], [2, 4, 5]], 3))
+# Two pivots in one pass, then a single last row.
+@example(([[2, 1, 0, 3], [1, 3, 1, 1], [4, 1, 2, 5]], 4))
+# A zero first column and entries to 2**70.
+@example(([[0, 2**70, -(2**70) + 1], [0, 3, 2**69], [0, -1, 7]], 3))
+def test_two_step_elimination_matches_one_step_reference(case):
+    rows, nc = case
+    before = [list(r) for r in rows]
+    pivots, u, d = _bareiss_forward(list(rows), nc)
+    assert rows == before
+    ref_pivots, ref_u, ref_d = reference_bareiss_forward([list(r) for r in rows], nc)
+    assert (pivots, [list(r) for r in u], d) == (ref_pivots, [list(r) for r in ref_u], ref_d)
 
 
 def _outcome(a):
