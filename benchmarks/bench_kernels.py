@@ -10,16 +10,18 @@ of ``gale_transform`` on seeded dense (n-2) x n matrices with entries in
 nonzero Gale rows B with entries in +-9: median and max milliseconds
 over five matrices per row.  Then the median microseconds per op (best
 of N) of each Gale stage on 100 seeded dense (n-2) x n matrices, n
-12..18, entries in +-9: the forward elimination, the rest of the
-planar kernel ``gale_transform`` runs (back substitution and the
-saturation in Z^2), the Lagrange reduction with the configuration,
-``reduce_configuration``, ``is_positively_graded`` and ``bouquets``; the
-back-substitution and Lagrange stages are differences of two timings of
-the same matrix.  Then the forward elimination alone, the one-step
-reference in the tests' conftest against the package's two-step form,
-on 20 seeded dense (n-2) x n matrices per cell, n 12, 18, 24 and 32,
-entries in +-9 and +-2^64: microseconds per call (best of N, the two
-timed in turn) and their ratio.  Then, over 100 seeded problems drawn like
+12..18, entries in +-9: the forward elimination the planar kernel runs
+(on the rows reversed, the reversal included), the rest of the planar
+kernel ``gale_transform`` runs (back substitution and the saturation in
+Z^2 that yields the Hermite form), the Lagrange reduction with the
+configuration, ``reduce_configuration``, ``is_positively_graded`` and
+``bouquets``; the back-substitution and Lagrange stages are
+differences of two timings of the same matrix.  Then the forward
+elimination alone, the one-step reference in the tests' conftest
+against the package's two-step form, on 20 seeded dense (n-2) x n
+matrices per cell, n 12, 18, 24 and 32, entries in +-9 and +-2^64:
+microseconds per call (best of N, the two timed in turn) and their
+ratio.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
 of the plain fan union, the half-turn of the symmetrized fan read off
 that union, and the Graver binomials built from it in one batch (one
@@ -159,7 +161,7 @@ def bench_gale_stages(repeat):
         except (RankError, ZeroRowError):
             continue
         done += 1
-        forward = _time(lambda: _bareiss_forward(list(a.rows), n), repeat)
+        forward = _time(lambda: _bareiss_forward([row[::-1] for row in a.rows], n), repeat)
         kernel = _time(lambda: _planar_kernel(a), repeat)
         whole = _time(lambda: gale_transform(a), repeat)
         for name, t in (

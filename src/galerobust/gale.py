@@ -16,7 +16,7 @@ from typing import Sequence
 from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
-from .intlinalg import IntegerMatrix, _planar_hnf, _planar_kernel
+from .intlinalg import IntegerMatrix, _planar_kernel
 from .planar import Vec2
 
 
@@ -77,9 +77,7 @@ class Bouquet(_Value):
     __slots__ = ("members", "direction", "mixed")
 
 
-def _lagrange_reduced_columns(
-    c0: Sequence[int], c1: Sequence[int], settle_ties: bool = False
-) -> tuple[Vec2, ...]:
+def _lagrange_reduced_columns(c0: Sequence[int], c1: Sequence[int]) -> tuple[Vec2, ...]:
     """Rows of the shortest basis of the lattice spanned by columns c0, c1.
 
     Gauss/Lagrange reduction followed by sign normalization (first
@@ -89,10 +87,8 @@ def _lagrange_reduced_columns(
     to the two columns once, at the end.  The reduced basis is unique up
     to sign and order, so the result depends only on the lattice, except
     on a tie, 2|v.w| = |v|^2, where w and w -+ v are equally short and
-    the result depends on the input basis.  With ``settle_ties`` a tie
-    restarts the reduction on ``intlinalg._planar_hnf(c0, c1)``, the
-    canonical basis of the lattice, so the result is a function of the
-    lattice alone.
+    the result depends on the input basis: a canonical input basis, such
+    as a Hermite normal form, settles it.
     """
     nv, nw, t = sum(map(mul, c0, c0)), sum(map(mul, c1, c1)), sum(map(mul, c0, c1))
     # v = a*c0 + b*c1 and w = c*c0 + d*c1.
@@ -110,8 +106,6 @@ def _lagrange_reduced_columns(
             a, b, c, d, nv, nw = c, d, a, b, nw, nv
         else:
             break
-    if settle_ties and 2 * abs(t) == nv:
-        return _lagrange_reduced_columns(*_planar_hnf(c0, c1))
     v = [a * x + b * y for x, y in zip(c0, c1)]
     w = [c * x + d * y for x, y in zip(c0, c1)]
 
@@ -128,11 +122,10 @@ def _lagrange_reduced_columns(
 def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     """Gale configuration of a matrix with corank exactly 2.
 
-    ``intlinalg._planar_kernel`` spans the saturated kernel with two
-    columns; their Lagrange reduction, ties settled by the planar Hermite
-    form ``intlinalg._planar_hnf``, is the canonical shortest planar
-    basis whose rows are read off, so the configuration is a
-    deterministic function of the kernel of A.
+    ``intlinalg._planar_kernel`` gives the Hermite normal form of the
+    saturated kernel, a canonical basis, and its Lagrange reduction is
+    the shortest planar basis whose rows are read off, ties included, so
+    the configuration is a deterministic function of the kernel of A.
     Raises RankError when rank(A) is not ncols - 2, before any back
     substitution, and ZeroRowError when some variable occurs in no
     kernel vector.
@@ -141,7 +134,7 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     if n < 3:
         raise RankError(f"need at least 3 columns, got {n}")
     # The reduced rows are int pairs already; only the zero check is left.
-    rows = _lagrange_reduced_columns(*_planar_kernel(a), settle_ties=True)
+    rows = _lagrange_reduced_columns(*_planar_kernel(a))
     if (0, 0) in rows:
         raise _zero_row_error(rows.index((0, 0)))
     return GaleConfiguration._trusted(rows)

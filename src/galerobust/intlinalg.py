@@ -1,4 +1,4 @@
-"""Exact integer linear algebra for corank 2: rank, planar kernel, planar HNF.
+"""Exact integer linear algebra for corank 2: rank and the planar kernel.
 
 Rank and kernel come from one forward fraction-free elimination in
 Bareiss's two-step form (E. H. Bareiss, "Sylvester's identity and
@@ -9,13 +9,13 @@ falls back to one step where the next column holds no second pivot.
 Every division in it is exact by Sylvester's identity, so its entries
 are minors of the input and never swell beyond the Hadamard bound, and
 its result is the one-step form's, entry for entry.
-`_planar_kernel` checks the rank right after the elimination, before
-any back substitution.  Back substitution in the echelon form, with
-exact division, gives two kernel vectors that span the rational kernel
-but may miss lattice points; one Hermite basis of a lattice in Z^2,
-found modulo the last pivot, saturates them.  That basis is not
-canonical; `_planar_hnf`, the Hermite normal form of a lattice spanned
-by two columns, is.  It carries no unimodular transform.
+`_planar_kernel` eliminates the columns from last to first and checks
+the rank right after the elimination, before any back substitution.
+Back substitution in the echelon form, with exact division, gives two
+kernel vectors in echelon form that span the rational kernel but may
+miss lattice points; one Hermite basis of a lattice in Z^2, found
+modulo the last pivot, saturates them, and the result is the Hermite
+normal form of the kernel lattice, a function of the kernel alone.
 
 All arithmetic uses unbounded Python integers, so results are exact for
 inputs of any magnitude; overflow cannot occur.  Matrices are immutable
@@ -212,7 +212,8 @@ def _back_substitute(
     / U[i][p]: one dot product and one divmod per pivot row and vector.
     K_f is D times a rational kernel vector, so by Cramer's rule it is
     integral and every division is exact (a remainder raises
-    ConsistencyError); in column order it has no entry past f.
+    ConsistencyError); in column order it has no entry past f, so the
+    vectors, in reversed column order, are in echelon form.
     """
     pivot_set = set(pivots)
     k = []
@@ -233,20 +234,25 @@ def _back_substitute(
 
 
 def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
-    """Two columns, as lists, that span the saturated integer kernel of M.
+    """Hermite normal form (h0, h1) of the saturated integer kernel of M.
 
+    h0 leads at the first position where the kernel is nonzero, with the
+    least positive entry any kernel vector has there; h1 is zero up to
+    its own positive lead, and h0 is reduced there into [0, that lead).
     Raises RankError, right after the forward elimination, unless M has
-    rank ncols - 2.  Back substitution gives the two kernel vectors
-    k0, k1; the pairs (k0[j], k1[j]) span a lattice L in Z^2 that holds
-    |D|*Z^2, so its Hermite basis (a, b), (0, c), the columns of T,
-    starts from a = c = |D| and takes an xgcd step only where a does not
-    divide the next first entry; b stays reduced mod c.  The rows of
-    T^-1 (k0, k1), found by exact division, span the whole kernel
-    lattice: their 2x2 minors have gcd 1.  The basis is not canonical;
-    ``_planar_hnf`` of it is.
+    rank ncols - 2.  M is eliminated from its last column to its first,
+    so the back-substituted k0, k1, reversed, are in echelon form: k1
+    leads with D and is zero where k0 leads with D.  The pairs
+    (k0[j], k1[j]) span a lattice L in Z^2 that holds |D|*Z^2, so its
+    Hermite basis (a, b), (0, c), the columns of T, starts from
+    a = c = |D| and takes an xgcd step only where a does not divide the
+    next first entry.  The rows of T^-1 (k0, k1), found by exact
+    division, span the whole kernel lattice: their 2x2 minors have
+    gcd 1.  With a and c given the sign of D and b reduced so that -b/c
+    lies in [0, 1), they are h1 and h0, reversed.
     """
     n = m.ncols
-    pivots, u, d = _bareiss_forward(list(m.rows), n)
+    pivots, u, d = _bareiss_forward([row[::-1] for row in m.rows], n)
     if len(pivots) != n - 2:
         raise RankError(f"rank {len(pivots)} != ncols - 2 = {n - 2}; kernel is not planar")
     k0, k1 = _back_substitute(pivots, u, d, n)
@@ -260,31 +266,9 @@ def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
         else:
             y -= x // a * b
         c = gcd(c, y)
-    b %= c
+    if d < 0:
+        a, b, c = -a, -b, -c
+    b = -(-b % c)
     s0 = _divide_exactly(k0, a)
     s1 = _divide_exactly([y - b * x for x, y in zip(s0, k1)], c)
-    return s0, s1
-
-
-def _planar_hnf(c0: Sequence[int], c1: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Hermite normal form (h0, h1) of the rank-2 lattice spanned by c0, c1.
-
-    At the first position j where c0 or c1 is nonzero, one unimodular
-    xgcd step leaves h0[j] = gcd(c0[j], c1[j]) > 0 and h1[j] = 0.  At
-    the first position k where h1 is nonzero, h1 is made positive and
-    h0[k] reduced into [0, h1[k]).  Two bases of one lattice give
-    identical forms.  The columns must be independent.
-    """
-    j = next(j for j, (x, y) in enumerate(zip(c0, c1)) if x or y)
-    g, s, t = _xgcd(c0[j], c1[j])
-    p, q = c0[j] // g, c1[j] // g
-    # det [[s, t], [-q, p]] = s*p + t*q = 1.
-    h0 = [s * x + t * y for x, y in zip(c0, c1)]
-    h1 = [p * y - q * x for x, y in zip(c0, c1)]
-    k = next(k for k in range(j + 1, len(h1)) if h1[k])
-    if h1[k] < 0:
-        h1 = [-y for y in h1]
-    r = h0[k] // h1[k]
-    if r:
-        h0 = [x - r * y for x, y in zip(h0, h1)]
-    return h0, h1
+    return s1[::-1], s0[::-1]

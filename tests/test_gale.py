@@ -43,12 +43,21 @@ def test_gale_transform_two_block_matrix():
 
 
 
-def test_gale_transform_settles_lagrange_tie():
-    # The kernel lattice of [1 1 1] is hexagonal: a reduced basis v, w
-    # has |v|^2 = |w|^2 = 2 and v.w = +-1, so w and w -+ v tie, and
-    # only the restart on the planar Hermite form makes the rows
-    # independent of the basis the planar kernel happens to return.
-    assert gale_transform(IntegerMatrix([[1, 1, 1]])).rows == ((1, 1), (-1, 0), (0, -1))
+@pytest.mark.parametrize(
+    "rows, gale_rows",
+    [
+        ([[1, 1, 1]], ((1, 1), (-1, 0), (0, -1))),
+        ([[3, 3, 3, -3], [-1, -3, 0, 3]], ((0, 3), (1, -1), (0, -2), (1, 0))),
+        ([[0, 1, -1, 1], [-1, 1, 1, 1]], ((0, 2), (1, 0), (0, 1), (-1, 1))),
+    ],
+)
+def test_gale_transform_settles_lagrange_tie(rows, gale_rows):
+    # A Lagrange tie: the reduced basis v, w has 2|v.w| = |v|^2, so w
+    # and w -+ v are equally short, and the reduction keeps whichever
+    # its input basis leads to.  The kernel of [1 1 1] is hexagonal; the
+    # other two are not.  Reduced from the Hermite normal form of the
+    # kernel, a canonical basis, the rows depend on the kernel alone.
+    assert gale_transform(IntegerMatrix(rows)).rows == gale_rows
 
 def test_gale_transform_rejects_wrong_rank():
     with pytest.raises(RankError):

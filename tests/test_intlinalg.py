@@ -4,11 +4,12 @@ from math import gcd
 
 import pytest
 
-from galerobust import IntegerMatrix, rank
-from galerobust.intlinalg import _planar_hnf
+from galerobust import IntegerMatrix, RankError, rank
+from galerobust.intlinalg import _planar_kernel
 
 from conftest import (
     EXAMPLE_A,
+    column,
     column_hnf,
     determinant,
     hermite_normal_form,
@@ -214,46 +215,68 @@ def test_kernel_of_wide_matrix_matches_reference(d):
     assert kernel_lattice_basis(m) == reference_kernel(m)
 
 
-def _independent(c0, c1):
-    return any(x * y2 != x2 * y for (x, y), (x2, y2) in itertools.combinations(zip(c0, c1), 2))
+def _planar_inputs(seed, count):
+    """Seeded A with n 3..11 columns and n - 2 independent rows, mostly.
+
+    Entries in +-1, +-2, +-9 or +-2**70, up to two sparse columns, an
+    extra dependent row and a zero row; small entries and sparse columns
+    sometimes leave the rank below n - 2.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 11)
+        bound = rng.choice((1, 2, 9, 2**70))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n - 2)]
+        for j in rng.sample(range(n), rng.randint(0, 2)):
+            for row in rows:
+                if rng.random() < 0.7:
+                    row[j] = 0
+        if rng.random() < 0.3:
+            c = [rng.randint(-2, 2) for _ in rows]
+            dependent = [sum(x * row[j] for x, row in zip(c, rows)) for j in range(n)]
+            rows.insert(rng.randint(0, len(rows)), dependent)
+        if rng.random() < 0.2:
+            rows.insert(rng.randint(0, len(rows)), [0] * n)
+        yield IntegerMatrix(rows)
 
 
-def test_planar_hnf_matches_reference_hnf():
-    # The reference is the transform-carrying HNF of the 2 x n matrix
-    # with rows c0, c1.
-    rng = random.Random(31)
+def test_planar_kernel_is_hermite_form_of_reference_kernel():
+    # reference_kernel takes the Hermite form of the kernel rows that a
+    # transform-carrying HNF of A^T leaves, with no _bareiss_forward.
     checked = 0
-    while checked < 600:
-        n = rng.randint(2, 14)
-        bound = rng.choice((1, 3, 2**20, 2**70))
-        lead = rng.randint(0, n - 2)
-        c0 = [0] * lead + [rng.randint(-bound, bound) for _ in range(n - lead)]
-        c1 = [0] * lead + [rng.randint(-bound, bound) for _ in range(n - lead)]
-        # Zero and negative leading entries in either column.
-        kind = rng.randrange(4)
-        if kind == 1:
-            c0[lead] = 0
-        elif kind == 2:
-            c1[lead] = 0
-        elif kind == 3:
-            c0[lead] = -abs(c0[lead]) or -1
-        if not _independent(c0, c1):
+    for m in _planar_inputs(41, 1400):
+        k = reference_kernel(m)
+        if k.ncols != 2:
+            with pytest.raises(RankError):
+                _planar_kernel(m)
             continue
-        h, _ = hermite_normal_form(IntegerMatrix([c0, c1]))
-        assert _planar_hnf(c0, c1) == tuple(list(r) for r in h.rows)
+        assert _planar_kernel(m) == (list(column(k, 0)), list(column(k, 1)))
         checked += 1
+    assert checked > 1000
 
 
-def test_planar_hnf_is_lattice_invariant():
-    rng = random.Random(32)
-    for _ in range(200):
-        n = rng.randint(2, 8)
-        c0 = [rng.randint(-2**70, 2**70) for _ in range(n)]
-        c1 = [rng.randint(-2**70, 2**70) for _ in range(n)]
-        if not _independent(c0, c1):
+def test_planar_kernel_is_invariant_under_unimodular_row_operations():
+    # Row operations keep the kernel, so its Hermite form, sign included,
+    # must not change; swaps and negations have determinant -1.
+    rng = random.Random(42)
+    checked = 0
+    for m in _planar_inputs(43, 600):
+        try:
+            h = _planar_kernel(m)
+        except RankError:
             continue
-        # A unimodular [[1 + s*t, s], [t, 1]] recombination of the columns.
-        s, t = rng.randint(-9, 9), rng.randint(-9, 9)
-        d0 = [(1 + s * t) * x + t * y for x, y in zip(c0, c1)]
-        d1 = [s * x + y for x, y in zip(c0, c1)]
-        assert _planar_hnf(d1, d0) == _planar_hnf(c0, c1)
+        rows = [list(r) for r in m.rows]
+        for _ in range(rng.randint(1, 6)):
+            i = rng.randrange(len(rows))
+            j = rng.randrange(len(rows))
+            kind = rng.randrange(3) if i != j else 2
+            if kind == 0:
+                q = rng.choice((-3, -1, 1, 2, 2**40))
+                rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+            elif kind == 1:
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                rows[i] = [-x for x in rows[i]]
+        assert _planar_kernel(IntegerMatrix(rows)) == h
+        checked += 1
+    assert checked > 400

@@ -10,11 +10,11 @@ operations on A, which keep its kernel.  Kernels of wide sparse
 matrices A = ker(B^T)^T must be saturated, the Gram-matrix Lagrange
 reduction must return what the vector form (``reference_lagrange``)
 does, and the Gale rows of a fixed set of dense matrices must hash to a
-recorded digest.  ``gale_transform`` reads its rows off a planar kernel
-basis that is not canonical, so on small-entry matrices, where Lagrange
+recorded digest.  ``gale_transform`` reads its rows off the Hermite
+normal form of the kernel, so on small-entry matrices, where Lagrange
 ties are common, and on the wide sparse ones its rows must equal the
-Lagrange reduction of the canonical ``kernel_lattice_basis`` (in
-conftest).
+Lagrange reduction of ``kernel_lattice_basis`` (in conftest), the same
+form found another way.
 ``binomial_from_vector`` (in conftest) runs the unchecked batch
 builder, so every binomial it builds must pass the constructor's
 checks.
