@@ -2,11 +2,12 @@
 
 Binomials are exponent-vector pairs (plus, minus) with disjoint supports;
 no polynomial objects are materialized.  All is read off the one plain
-fan of the reduced Gale configuration: the indispensable set off its
-union's symmetric core, the Graver basis off that union, its negation
-and the walks across their gaps.  ``is_strongly_robust`` returns them
-in a ``RobustnessReport``, which computes the facts that follow from
-them when they are read.
+fan of the reduced Gale configuration: the Graver basis is B u for one u
+per ± pair of the symmetrized half-turn (the union, its negation and the
+gap walks), the indispensable set B u for u in the symmetric core; as B
+has rank 2, u -> B u is injective, so the sets are checked as counts of
+vectors in Z^2.  ``is_strongly_robust`` returns them in a
+``RobustnessReport``, which computes the facts that follow when read.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .hilbert import (
 )
 from .intlinalg import IntegerMatrix
 from .planar import Vec2
+
+_EXCEEDS = "indispensable set exceeds the Graver basis"
+_DISAGREE = (
+    "geometric criterion and direct Graver comparison disagree; "
+    "this indicates a bug, please report the input matrix"
+)
 
 
 @total_ordering
@@ -133,6 +140,9 @@ class RobustnessReport(_Value):
 
     Seven fields are stored.  The verdict and four facts that follow
     from the fields are properties, computed each time they are read.
+    The public constructor checks that the indispensable set lies in the
+    Graver basis and equals it exactly when the verdict holds;
+    ``is_strongly_robust`` checks counts instead and skips the constructor.
     """
 
     __slots__ = ("graver", "indispensable", "h_union", "h_core", "witness", "gale", "reduced")
@@ -148,12 +158,9 @@ class RobustnessReport(_Value):
         reduced: ReducedGaleConfiguration,
     ):
         if not indispensable <= graver:
-            raise ConsistencyError("indispensable set exceeds the Graver basis")
+            raise ConsistencyError(_EXCEEDS)
         if (witness is None) != (indispensable == graver):
-            raise ConsistencyError(
-                "geometric criterion and direct Graver comparison disagree; "
-                "this indicates a bug, please report the input matrix"
-            )
+            raise ConsistencyError(_DISAGREE)
         super().__init__(graver, indispensable, h_union, h_core, witness, gale, reduced)
 
     @property
@@ -199,10 +206,12 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     """Decide strong robustness (indispensable set equals Graver basis).
 
     The verdict is computed from the geometric criterion (for every
-    reduced row, its negation lies in the symmetric core), and the
-    report's constructor checks it against the direct set comparison;
-    the two must agree on every input, and a ConsistencyError is raised
-    if they ever do not.
+    reduced row, its negation lies in the symmetric core) and checked
+    against three counts over the half-turn, which decide the set
+    comparison as u -> B u is injective: each core ± pair has one member
+    there, no two vectors give one binomial, and the sets are equal
+    exactly when every vector is in the core.  A ConsistencyError is
+    raised if a count fails or disagrees with the verdict.
 
     This is the package's one analysis pass: every answer is a field or
     a property of the report.  Every stage is looked up in this module's
@@ -220,15 +229,16 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
             witness = row
             break
 
-    # u and -u name one binomial, so each core pair takes it from whichever
-    # member is in the half-turn.  Pairs under neither are built apart and
-    # never dropped, so that the report's consistency checks catch them.
     half = symmetrized_half_turn(union)
-    graver_by_u = dict(zip(half, _gale_binomials(b, half)))
-    indisp = [graver_by_u[u] for u in core if u in graver_by_u]
-    missing = [u for u in core if u not in graver_by_u and (-u[0], -u[1]) not in graver_by_u]
-    if missing:
-        indisp += _gale_binomials(b, missing)
-    return RobustnessReport(
-        frozenset(graver_by_u.values()), frozenset(indisp), union, core, witness, b, reduced
+    binomials = _gale_binomials(b, half)
+    indisp = [g for u, g in zip(half, binomials) if u in core_set]
+    graver = frozenset(binomials)
+    if 2 * len(indisp) != len(core):
+        raise ConsistencyError(_EXCEEDS)
+    if len(graver) != len(half):
+        raise ConsistencyError("two half-turn vectors give one Graver binomial")
+    if (witness is None) != (len(indisp) == len(half)):
+        raise ConsistencyError(_DISAGREE)
+    return RobustnessReport._trusted(
+        graver, graver if witness is None else frozenset(indisp), union, core, witness, b, reduced
     )

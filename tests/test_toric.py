@@ -17,6 +17,7 @@ from galerobust.gale import GaleConfiguration
 from galerobust.planar import convex_hull
 
 from conftest import (
+    DATA,
     EXAMPLE_BINOMIALS,
     apply,
     binomial_from_gale,
@@ -300,8 +301,69 @@ def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatc
         return [v for v in half if v not in pair]
 
     monkeypatch.setattr(toric, "symmetrized_half_turn", half_turn_without_a_core_pair)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="exceeds the Graver basis"):
         toric.is_strongly_robust(a)
+
+
+@pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
+def test_core_pair_twice_in_the_half_turn_is_caught(name, request, monkeypatch):
+    a = request.getfixturevalue(name)
+    real = toric.symmetrized_half_turn
+
+    def half_turn_with_both_members_of_a_core_pair(union):
+        half = real(union)
+        core = set(toric.symmetric_core(union))
+        u = next(v for v in half if v in core)
+        return half + [(-u[0], -u[1])]
+
+    monkeypatch.setattr(toric, "symmetrized_half_turn", half_turn_with_both_members_of_a_core_pair)
+    with pytest.raises(ConsistencyError, match="exceeds the Graver basis"):
+        toric.is_strongly_robust(a)
+
+
+def test_half_turn_cut_to_the_core_is_caught(twisted_cubic, monkeypatch):
+    # The counts then say the sets are equal, against the witness.
+    real = toric.symmetrized_half_turn
+
+    def core_of_the_half_turn(union):
+        core = set(toric.symmetric_core(union))
+        return [v for v in real(union) if v in core]
+
+    monkeypatch.setattr(toric, "symmetrized_half_turn", core_of_the_half_turn)
+    with pytest.raises(ConsistencyError, match="direct Graver comparison disagree"):
+        toric.is_strongly_robust(twisted_cubic)
+
+
+@pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
+def test_one_binomial_from_two_vectors_is_caught(name, request, monkeypatch):
+    a = request.getfixturevalue(name)
+    real = toric._gale_binomials
+
+    def first_binomial_in_place_of_the_last(b, us):
+        binomials = real(b, us)
+        return binomials[:-1] + binomials[:1]
+
+    monkeypatch.setattr(toric, "_gale_binomials", first_binomial_in_place_of_the_last)
+    with pytest.raises(ConsistencyError, match="two half-turn vectors give one Graver binomial"):
+        toric.is_strongly_robust(a)
+
+
+def test_trusted_reports_pass_the_public_checks(acceptance_suite):
+    # is_strongly_robust builds its reports without the constructor's set
+    # checks; each must pass them and compare equal when rebuilt.
+    from galerobust.matrixio import load_matrix
+
+    inputs = [
+        *acceptance_suite,
+        load_matrix(str(DATA / "example_4x6.mat")),
+        load_matrix(str(DATA / "twisted_cubic.mat")),
+        *random_valid_instances(20, seed=31337),
+        lawrence_lifting(IntegerMatrix([[1, 2, 3]])),
+    ]
+    reports = [is_strongly_robust(a) for a in inputs]
+    assert reports[-1].strongly_robust
+    for report in reports:
+        assert toric.RobustnessReport(**_report_fields(report)) == report
 
 
 def test_graver_element_from_a_gap_walk():
