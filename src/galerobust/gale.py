@@ -56,10 +56,20 @@ class ReducedGaleConfiguration(_Value):
     ``rows[i]`` belongs to variable i, as the rows keep their original
     order, and ``angular_order`` lists row positions sorted
     counterclockwise from the smallest angle in [0, 2*pi), ties broken
-    by original index.
+    by original index.  The constructor checks that the rows are
+    primitive int pairs, none zero, and that ``angular_order`` is theirs.
     """
 
     __slots__ = ("rows", "angular_order")
+
+    def __init__(self, rows: Sequence[Vec2], angular_order: Sequence[int]):
+        clean = tuple((index(x), index(y)) for x, y in rows)
+        if any(gcd(x, y) != 1 for x, y in clean):
+            raise ValueError(f"reduced rows must be primitive, got {clean}")
+        order = _angular_order(clean)
+        if tuple(angular_order) != order:
+            raise ValueError(f"angular_order must be the rows' order {order}")
+        super().__init__(clean, order)
 
     def distinct_directions(self) -> tuple[Vec2, ...]:
         """Distinct reduced directions in counterclockwise order."""
@@ -98,10 +108,9 @@ def _lagrange_reduced_columns(c0: Sequence[int], c1: Sequence[int]) -> tuple[Vec
     while True:
         # Nearest integer to t/nv, half rounded up; exact integer arithmetic.
         q = (2 * t + nv) // (2 * nv)
-        if q != 0:
-            c, d = c - q * a, d - q * b
-            nw -= q * (2 * t - q * nv)
-            t -= q * nv
+        c, d = c - q * a, d - q * b
+        nw -= q * (2 * t - q * nv)
+        t -= q * nv
         if nw < nv:
             a, b, c, d, nv, nw = c, d, a, b, nw, nv
         else:
@@ -140,17 +149,20 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     return GaleConfiguration._trusted(rows)
 
 
+def _angular_order(rows: Sequence[Vec2]) -> tuple[int, ...]:
+    """Positions of the nonzero rows counterclockwise from angle 0, ties by index."""
+    # A stable sort; each row's comparator key is made once.
+    keys = list(map(functools.cmp_to_key(planar.angle_cmp), rows))
+    return tuple(sorted(range(len(rows)), key=keys.__getitem__))
+
+
 def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
     """Rotate each row by 90 degrees and scale entries to be coprime."""
     reduced = []
     for (x, y) in b.rows:
         g = gcd(abs(x), abs(y))
         reduced.append((-y // g, x // g))
-    # A stable sort: rows of equal angle stay in index order.  Each row's
-    # comparator key is made once, so a comparison runs angle_cmp alone.
-    keys = list(map(functools.cmp_to_key(planar.angle_cmp), reduced))
-    order = sorted(range(len(reduced)), key=keys.__getitem__)
-    return ReducedGaleConfiguration._trusted(tuple(reduced), tuple(order))
+    return ReducedGaleConfiguration._trusted(tuple(reduced), _angular_order(reduced))
 
 
 def is_positively_graded(b: GaleConfiguration) -> bool:

@@ -99,13 +99,9 @@ def _fan_cones(dirs: tuple[Vec2, ...]) -> list[Cone2D]:
         )
     nexts = dirs[1:] + dirs[:1]
     for d, nxt in zip(dirs, nexts):
-        # One primitivity check per direction; the cross product below is
-        # the counterclockwise check, so the cones are built trusted.
-        x, y = d
-        if gcd(x, y) != 1:
-            raise ValueError("cone generators must be primitive")
-        # cross(d, nxt) <= 0.
-        if x * nxt[1] - y * nxt[0] <= 0:
+        # The configuration's rows are primitive, and cross(d, nxt) > 0 is
+        # checked here, so the cones are built trusted.
+        if d[0] * nxt[1] - d[1] * nxt[0] <= 0:
             raise GradingError(
                 f"consecutive directions {d} and {nxt} span an angle >= pi; "
                 "the configuration is not positively graded"

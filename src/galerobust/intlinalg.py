@@ -4,8 +4,9 @@ Rank and kernel come from one forward fraction-free elimination in
 Bareiss's two-step form (E. H. Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
 1968): each pass takes two pivots and updates the rows below them once,
-so it makes half the passes and divisions of the one-step form, and
-falls back to one step where the next column holds no second pivot.
+so it makes half the passes and divisions of the one-step form.  The
+second pivot comes from the next column that has one; where no column
+has, the rows below are zero after one step and the elimination stops.
 Every division in it is exact by Sylvester's identity, so its entries
 are minors of the input and never swell beyond the Hadamard bound, and
 its result is the one-step form's, entry for entry.
@@ -102,21 +103,21 @@ def _bareiss_forward(
 
     A pass starts at pivot row r, pivot p at column c, with prev the
     pivot before p (1 at the start).  The one-step entry of row i in
-    column c+1 is e_i = (p a[i][c+1] - a[i][c] a[r][c+1]) / prev, and
-    the first row i > r with e_i != 0 holds the second pivot q; it is
+    column c' > c is e_i = (p a[i][c'] - a[i][c] a[r][c']) / prev.  The
+    second pivot q is the first nonzero e_i, searched column by column
+    from c+1 and, within a column, row by row below r; its row is
     swapped up to r+1, negating the row it displaces.  Row r+1 takes its
     one-step update, and with b the row r+1 before it, each row i > r+1
     takes its two-step value in one step:
 
         a[i][j] = (q a[i][j] + g_i a[r][j] - e_i b[j]) / prev,
-        g_i = (a[i][c+1] b[c] - b[c+1] a[i][c]) / prev.
+        g_i = (a[i][c'] b[c] - b[c'] a[i][c]) / prev.
 
     By Sylvester's identity e_i, g_i and the new entries are minors of
     the row-permuted input, so every division is exact, and (pivots, U,
-    D) is what the one-step form returns, entry for entry.  Where there
-    is no second pivot (column c+1 has none, or is past the end, or r is
-    the last row) the pass takes one step, as the one-step form does:
-    a[i][j] = (p a[i][j] - a[i][c] a[r][j]) / prev.
+    D) is what the one-step form returns, entry for entry (both are zero
+    in columns c+1 .. c'-1).  Where no column holds a second pivot, every
+    row below r is zero after one step, and the elimination stops.
     """
     nr = len(a)
     pivots: list[int] = []
@@ -135,30 +136,22 @@ def _bareiss_forward(
             a[r], a[sel] = a[sel], [-x for x in a[r]]
         prow = a[r]
         p = prow[col]
-        c1 = col + 1
-        # The rows below the pivot are zero before col.  The second pivot
-        # q is the first nonzero one-step entry e_s in column c1 below row r.
+        # The rows below the pivot are zero before col; the second pivot q
+        # is the first nonzero one-step entry e_s, column by column from col + 1.
         q = 0
-        if c1 < ncols:
+        for c1 in range(col + 1, ncols):
             y0 = prow[c1]
             for s in range(r + 1, nr):
                 row = a[s]
                 q = (p * row[c1] - row[col] * y0) // prev
                 if q:
                     break
+            if q:
+                break
         if not q:
-            tail = prow[c1:]
-            lead = [0] * c1
-            for i in range(r + 1, nr):
-                row = a[i]
-                f = row[col]
-                if f == 0 and p == prev:
-                    continue
-                a[i] = lead + [(p * x - f * y) // prev for x, y in zip(row[c1:], tail)]
+            # Every row below r is zero after one step.
             pivots.append(col)
-            prev = p
-            col = c1
-            continue
+            return pivots, a[: r + 1], p
         if s > r + 1:
             a[r + 1], a[s] = a[s], [-x for x in a[r + 1]]
         # Row r+1 takes its one-step update, with pivot q at c1; each row

@@ -70,9 +70,6 @@ def convex_hull(points: Iterable[Sequence[int]]) -> list[Vec2]:
 
     lower = half_chain(pts)
     upper = half_chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) <= 2:
-        # All points collinear after pruning.
-        return [pts[0], pts[-1]]
-    return hull
+    # On collinear points each chain is just the two end points.
+    return lower[:-1] + upper[:-1]
 

@@ -266,17 +266,30 @@ def _half_turn(reduced):
 
 def test_fan_cones_equal_checked_cones():
     # The fan builds its cones without Cone2D's checks; they must still be
-    # the cones the checking constructor gives, and non-primitive rows of a
-    # hand-built configuration must still be refused.
+    # the cones the checking constructor gives, and a hand-built
+    # configuration with non-primitive rows must be refused when it is made.
     reduced = reduce_configuration(gale_transform(IntegerMatrix(EXAMPLE_A)))
     for cones in (fan_hilbert_union(reduced).cones, _fan_cones(_symmetric_directions(reduced))):
         for c in cones:
             assert c == Cone2D(c.a, c.b)
             assert hash(c) == hash(Cone2D(c.a, c.b))
-    bad = ReducedGaleConfiguration(rows=((2, 0), (0, 1), (-1, -1)), angular_order=(0, 1, 2))
-    for build in (fan_hilbert_union, _half_turn, fan_radius_bound):
-        with pytest.raises(ValueError, match="primitive"):
-            build(bad)
+    with pytest.raises(ValueError, match="primitive"):
+        ReducedGaleConfiguration(rows=((2, 0), (0, 1), (-1, -1)), angular_order=(0, 1, 2))
+
+
+def test_reduced_configuration_checks_its_fields():
+    rows = ((1, 0), (0, 1), (-1, -1))
+    # Unchecked, a wrong order or a zero row made the fan read this graded
+    # configuration as not graded.
+    for order in ((2, 1, 0), (0, 0, 0), (0, 1)):
+        with pytest.raises(ValueError, match="angular_order"):
+            ReducedGaleConfiguration(rows, order)
+    with pytest.raises(ValueError, match="primitive"):
+        ReducedGaleConfiguration(((1, 0), (0, 0), (-1, -1)), (0, 2, 1))
+    ok = ReducedGaleConfiguration([[1, 0], [0, 1], [-1, -1]], [0, 1, 2])
+    assert ok == ReducedGaleConfiguration(rows, (0, 1, 2))
+    assert ok == _reduced(rows)
+    assert len(fan_hilbert_union(ok).vectors) == 3
 
 
 def _reduced(rows):

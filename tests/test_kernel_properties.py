@@ -129,8 +129,12 @@ def _elimination_inputs(draw):
 @given(_elimination_inputs())
 # The second pivot only after a swap: rows 0 and 1 are singular on columns 0, 1.
 @example(([[1, 2, 3], [2, 4, 5], [0, 1, 1]], 3))
-# Column 1 holds no second pivot, then a single pass on the last column.
+# Column 1 holds no second pivot, so it comes from column 2.
 @example(([[1, 2, 3], [2, 4, 5]], 3))
+# Rank 1: no column holds a second pivot, two rows left below.
+@example(([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3))
+# Odd rank: one pass of two pivots, then a pivot with one row left below.
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]], 4))
 # Two pivots in one pass, then a single last row.
 @example(([[2, 1, 0, 3], [1, 3, 1, 1], [4, 1, 2, 5]], 4))
 # A zero first column and entries to 2**70.

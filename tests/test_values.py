@@ -43,7 +43,7 @@ CASES = {
     ),
     "ReducedGaleConfiguration": (
         lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 1, 2)),
-        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 2, 1)),
+        lambda: ReducedGaleConfiguration(((0, 1), (1, -1), (-1, 0)), (0, 2, 1)),
     ),
     "Bouquet": (
         lambda: Bouquet(frozenset({0, 2}), (1, 0), True),
