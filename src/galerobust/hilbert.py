@@ -22,7 +22,6 @@ from . import planar
 from ._value import _Value
 from .errors import GradingError
 from .gale import ReducedGaleConfiguration
-from .intlinalg import _xgcd
 from .planar import Vec2, cross
 
 
@@ -76,9 +75,10 @@ def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
     a, b = cone.a, cone.b
     a0, a1 = a
     b0, b1 = b
-    # cross(a, (-t, s)) = s*a0 + t*a1 = 1; shifting along a by k puts
-    # cross(v1, b) into [0, det).
-    _, s, t = _xgcd(a0, a1)
+    # cross(a, (-t, s)) = s*a0 + t*a1 = 1, with a0 = ±1 where a1 = 0 as a is
+    # primitive; any such pair, shifted along a by k, puts cross(v1, b) into [0, det).
+    s = pow(a0, -1, a1) if a1 else a0
+    t = (1 - s * a0) // a1 if a1 else 0
     # r_prev = cross(a, b) and divmod(cross((-t, s), b), r_prev).
     r_prev = a0 * b1 - a1 * b0
     k, r_cur = divmod(-t * b1 - s * b0, r_prev)

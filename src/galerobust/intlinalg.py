@@ -32,20 +32,6 @@ from typing import Iterable, Sequence
 from ._value import _Value
 from .errors import ConsistencyError, RankError
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
 
 class IntegerMatrix(_Value):
     """Immutable dense matrix over the integers, a value keyed by its rows.
@@ -238,11 +224,13 @@ def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
     leads with D and is zero where k0 leads with D.  The pairs
     (k0[j], k1[j]) span a lattice L in Z^2 that holds |D|*Z^2, so its
     Hermite basis (a, b), (0, c), the columns of T, starts from
-    a = c = |D| and takes an xgcd step only where a does not divide the
-    next first entry.  The rows of T^-1 (k0, k1), found by exact
-    division, span the whole kernel lattice: their 2x2 minors have
-    gcd 1.  With a and c given the sign of D and b reduced so that -b/c
-    lies in [0, 1), they are h1 and h0, reversed.
+    a = c = |D|.  Where a does not divide the next first entry x, it
+    takes a unimodular step by the Bezout pair of g = gcd(a, x) with
+    t = pow(x/g, -1, a/g); any other pair moves b by a multiple of the
+    new y, which the new c divides.  The rows of T^-1 (k0, k1), found by
+    exact division, span the whole kernel lattice: their 2x2 minors
+    have gcd 1.  With a and c given the sign of D and b reduced so that
+    -b/c lies in [0, 1), they are h1 and h0, reversed.
     """
     n = m.ncols
     pivots, u, d = _bareiss_forward([row[::-1] for row in m.rows], n)
@@ -253,8 +241,10 @@ def _planar_kernel(m: IntegerMatrix) -> tuple[list[int], list[int]]:
     b = 0
     for x, y in zip(k0, k1):
         if x % a:
-            g, s, t = _xgcd(a, x)
-            # Unimodular step on the pair (a, b), (x, y); it leaves (g, b'), (0, y').
+            # Bezout s*a + t*x = g; the step on (a, b), (x, y) leaves (g, b'), (0, y').
+            g = gcd(a, x)
+            t = pow(x // g, -1, a // g)
+            s = (g - t * x) // a
             a, b, y = g, (s * b + t * y) % c, (a // g) * y - (x // g) * b
         else:
             y -= x // a * b

@@ -24,7 +24,7 @@ from galerobust import (
 from galerobust._value import _Value
 from galerobust.errors import ZeroRowError
 from galerobust.gale import Bouquet, GaleConfiguration
-from galerobust.intlinalg import _back_substitute, _bareiss_forward, _divide_exactly, _xgcd
+from galerobust.intlinalg import _back_substitute, _bareiss_forward, _divide_exactly
 from galerobust.oracle import _fiber_rows, _fiber_walk
 from galerobust.planar import cross
 from galerobust.toric import _gale_binomials, _trusted_binomials
@@ -200,6 +200,25 @@ def random_valid_instances(count: int, seed: int, sizes=(4, 5, 6, 7), bound: int
 def acceptance_suite():
     """The shared 100-instance random suite used by the acceptance tests."""
     return random_valid_instances(100, seed=20260810)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0, by extended Euclid.
+
+    The package takes its Bezout pairs from pow(x, -1, m); this loop is
+    an independent reference for the Hermite forms here and the tests.
+    """
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:

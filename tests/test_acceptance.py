@@ -30,6 +30,7 @@ from conftest import (
     DATA,
     EXAMPLE_BINOMIALS,
     EXAMPLE_REDUCED_ROWS,
+    _xgcd,
     binomial_from_gale,
     binomial_from_vector,
     hilbert_basis_visible,
@@ -216,20 +217,6 @@ def test_criterion_7_hilbert_dual_characterization():
         ok,
         f"200 cones, {mismatches} mismatches; 60 unimodular cones, {unimodular_bad} bad",
     )
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def test_criterion_8_twisted_cubic_negative(twisted_cubic):

@@ -1,3 +1,4 @@
+import random
 
 import pytest
 
@@ -286,6 +287,27 @@ def test_pair_binomials_match_reference(acceptance_suite):
         assert report.graver == reference_binomials(report.gale, full_turn(half))
         assert len(report.graver) == len(half)
         assert report.indispensable == reference_binomials(report.gale, report.h_core)
+
+
+def test_permuting_columns_permutes_the_exponents(acceptance_suite):
+    # Column j of the permuted matrix is column sigma[j] of A, so its kernel
+    # holds u' = (u[sigma[0]], ..., u[sigma[n-1]]) for each u in A's.  The
+    # canonical sign may flip, so binomials compare as unordered pairs.
+    def pairs(bins, sigma):
+        return {frozenset(tuple(v[s] for s in sigma) for v in (b.plus, b.minus)) for b in bins}
+
+    rng = random.Random(20261020)
+    for a in acceptance_suite:
+        report = is_strongly_robust(a)
+        same = range(a.ncols)
+        for _ in range(3):
+            sigma = list(same)
+            rng.shuffle(sigma)
+            permuted = is_strongly_robust(IntegerMatrix([[row[s] for s in sigma] for row in a.rows]))
+            assert permuted.strongly_robust == report.strongly_robust
+            assert len(permuted.h_core) == len(report.h_core)
+            assert pairs(permuted.graver, same) == pairs(report.graver, sigma)
+            assert pairs(permuted.indispensable, same) == pairs(report.indispensable, sigma)
 
 
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
