@@ -12,11 +12,10 @@ vectors in Z^2.  ``is_strongly_robust`` returns them in a
 
 from __future__ import annotations
 
-from functools import total_ordering
 from operator import index
 
 from . import planar
-from ._value import _Value
+from ._value import _TupleValue, _Value
 from .errors import ConsistencyError
 from .gale import (
     Bouquet,
@@ -42,9 +41,12 @@ _DISAGREE = (
 )
 
 
-@total_ordering
-class Binomial(_Value):
+class Binomial(_TupleValue):
     """Canonical exponent-vector pair p^plus - p^minus.
+
+    A ``tuple`` subtype ``(plus, minus)``: it unpacks and has length 2,
+    but it equals, orders and shares a set entry only with another
+    Binomial, and it hashes in C.  Binomials are ordered by (plus, minus).
 
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
@@ -52,12 +54,13 @@ class Binomial(_Value):
     parts as int tuples and checks them all.  ``_trusted_binomials``
     splits nonzero int vectors into parts that meet every invariant by
     construction and builds the binomials with ``Binomial._trusted_all``,
-    without the checks.  Binomials are ordered by (plus, minus).
+    without the checks.
     """
 
-    __slots__ = ("plus", "minus")
+    __slots__ = ()
+    _fields = ("plus", "minus")
 
-    def __init__(self, plus: tuple[int, ...], minus: tuple[int, ...]):
+    def __new__(cls, plus: tuple[int, ...], minus: tuple[int, ...]):
         plus, minus = tuple(map(index, plus)), tuple(map(index, minus))
         if len(plus) != len(minus):
             raise ValueError("exponent vectors differ in length")
@@ -69,12 +72,7 @@ class Binomial(_Value):
             raise ValueError("zero binomial")
         if plus <= minus:
             raise ValueError("not in canonical sign (plus must be lex-greater)")
-        super().__init__(plus, minus)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.plus, self.minus) < (other.plus, other.minus)
-        return NotImplemented
+        return super().__new__(cls, plus, minus)
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -88,8 +86,9 @@ def _trusted_binomials(coords: list[list[int]]) -> list[Binomial]:
     takes one comprehension per coordinate rather than one per vector.
     The positive and negative parts of a nonzero vector meet every
     invariant of ``Binomial`` once the lex-greater one is ``plus``, so
-    ``Binomial._trusted_all`` builds them column by column, without
-    ``__init__``.  ValueError if any vector is zero.
+    ``Binomial._trusted_all`` builds them in one ``map`` of
+    ``tuple.__new__``, without the constructor's checks.  ValueError if
+    any vector is zero.
     """
     pluses = list(zip(*[[x if x > 0 else 0 for x in c] for c in coords]))
     minuses = list(zip(*[[-x if x < 0 else 0 for x in c] for c in coords]))

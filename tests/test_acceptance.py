@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import combinations
+from math import gcd
 
 from galerobust import (
     Binomial,
@@ -34,7 +36,9 @@ from conftest import (
     binomial_from_gale,
     binomial_from_vector,
     hilbert_basis_visible,
+    is_zero,
     lawrence_lifting,
+    matmul,
     primitive,
 )
 
@@ -85,12 +89,24 @@ def test_criterion_2_point_to_binomial(example_matrix):
     _criterion("criterion 2: point-to-binomial map", ok, str(binom.vector))
 
 
+def _assert_kernel_basis(m: IntegerMatrix, b) -> None:
+    """B's columns are a basis of ker A: A B = 0 and B's 2x2 minors have gcd 1.
+
+    The box scan is sized from B's fan, so a wrong B would make it run for
+    minutes before any mismatch shows; this check fails at once instead.
+    """
+    assert is_zero(matmul(m, IntegerMatrix(b.rows))), f"B's columns are not in ker A, A = {m}"
+    minors = (cross(p, q) for p, q in combinations(b.rows, 2))
+    assert gcd(*minors) == 1, f"B's 2x2 minors do not have gcd 1, A = {m}"
+
+
 def test_criterion_3_oracle_equivalence_suite(acceptance_suite):
     t0 = time.monotonic()
     mismatches = 0
     for m in acceptance_suite:
         report = is_strongly_robust(m)
         b = report.gale
+        _assert_kernel_basis(m, b)
         brute = graver_bruteforce(b, _default_radius(m))
         if brute != report.graver:
             mismatches += 1

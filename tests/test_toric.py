@@ -214,7 +214,7 @@ def test_strongly_robust_lawrence_type():
 
 
 def _report_fields(report):
-    return {name: getattr(report, name) for name in toric.RobustnessReport.__slots__}
+    return {name: getattr(report, name) for name in toric.RobustnessReport._fields}
 
 
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])

@@ -1,9 +1,9 @@
 """Value semantics of the public record types, of ``IntegerMatrix`` and of
 ``FiberEnumeration`` (a reference in conftest on the same base class).
 
-Each is immutable, compares and hashes by every stored field, prints as
-``Name(field=value, ...)`` (``IntegerMatrix`` keeps its own form) and
-survives pickle and copy.
+Each is immutable, compares and hashes by every field it names in
+``_fields``, prints as ``Name(field=value, ...)`` (``IntegerMatrix`` keeps
+its own form) and survives pickle and copy.
 """
 
 import copy
@@ -95,15 +95,15 @@ def test_equal_fields_give_equal_objects(case):
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert a != build_other()
-    assert a != tuple(getattr(a, name) for name in a.__slots__)
+    assert a != tuple(getattr(a, name) for name in a._fields)
 
 
 def test_every_stored_field_is_compared(case):
     build, build_other = case
     obj, other = build(), build_other()
-    fields = [getattr(obj, name) for name in obj.__slots__]
+    fields = [getattr(obj, name) for name in obj._fields]
     swapped = []
-    for k, name in enumerate(obj.__slots__):
+    for k, name in enumerate(obj._fields):
         if getattr(other, name) != fields[k]:
             # Only field k differs from obj.
             moved = type(obj)._trusted(*fields[:k], getattr(other, name), *fields[k + 1:])
@@ -114,7 +114,7 @@ def test_every_stored_field_is_compared(case):
 
 def test_fields_are_read_only(case):
     obj = case[0]()
-    for name in obj.__slots__:
+    for name in obj._fields:
         value = getattr(obj, name)
         with pytest.raises(AttributeError):
             setattr(obj, name, value)
@@ -164,6 +164,21 @@ def test_binomials_sort_by_plus_then_minus():
         b1 < (b1.plus, b1.minus)
 
 
+def test_binomial_is_a_tuple_only_to_another_binomial():
+    # Hashing stays in C: a Python-level __hash__ would cost one frame per
+    # set insert in is_strongly_robust.
+    assert Binomial.__hash__ is tuple.__hash__
+    b = Binomial((1, 0, 2), (0, 3, 0))
+    t = (b.plus, b.minus)
+    assert tuple(b) == t and len(b) == 2
+    assert not b == t and not t == b
+    assert b != t and t != b
+    for compare in (lambda: b < t, lambda: t < b, lambda: b <= t, lambda: t >= b):
+        with pytest.raises(TypeError):
+            compare()
+    assert t not in {b} and b not in {t}
+
+
 def test_binomial_constructor_stores_int_tuples():
     from_lists = Binomial([1, 0], [0, 1])
     from_tuples = Binomial((1, 0), (0, 1))
@@ -198,5 +213,5 @@ def test_pickle_and_copy_round_trips(case):
     for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
         assert type(twin) is type(obj)
         assert twin == obj and hash(twin) == hash(obj)
-        for name in obj.__slots__:
+        for name in obj._fields:
             assert getattr(twin, name) == getattr(obj, name)
