@@ -44,17 +44,26 @@ if TYPE_CHECKING:
     from .toric import RobustnessReport
 
 
+def _too_many_digits(exc: ValueError) -> GaleRobustError:
+    # The digit limit of str(int) holds for the whole interpreter, so it is
+    # left as it is: main() also runs inside other programs.
+    return GaleRobustError(f"output integer: {exc}")
+
+
 def _binomial_list(bins, letters: bool) -> list[dict]:
     from .toric import render_binomial
 
-    return [
-        {
-            "plus": list(b.plus),
-            "minus": list(b.minus),
-            "pretty": render_binomial(b, letters),
-        }
-        for b in sorted(bins)
-    ]
+    try:
+        return [
+            {
+                "plus": list(b.plus),
+                "minus": list(b.minus),
+                "pretty": render_binomial(b, letters),
+            }
+            for b in sorted(bins)
+        ]
+    except ValueError as exc:  # an exponent past the digit limit
+        raise _too_many_digits(exc) from None
 
 
 def _head(m: IntegerMatrix) -> dict:
@@ -154,7 +163,10 @@ def _compact_json(value, indent: int = 0) -> str:
 
 
 def _emit(doc, out_path: str | None) -> None:
-    text = _compact_json(doc) + "\n"
+    try:
+        text = _compact_json(doc) + "\n"
+    except ValueError as exc:  # an integer past the digit limit
+        raise _too_many_digits(exc) from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -23,9 +23,10 @@ from .planar import Vec2
 class GaleConfiguration(_Value):
     """List of 2D integer row vectors spanning the kernel lattice of A."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
+    _fields = ("rows",)
 
-    def __init__(self, rows: tuple[Vec2, ...]):
+    def __new__(cls, rows: tuple[Vec2, ...]):
         if len(rows) < 3:
             raise ValueError("a Gale configuration needs at least 3 rows")
         clean = []
@@ -36,7 +37,7 @@ class GaleConfiguration(_Value):
             if t == (0, 0):
                 raise _zero_row_error(i)
             clean.append(t)
-        super().__init__(tuple(clean))
+        return super().__new__(cls, tuple(clean))
 
     @property
     def n(self) -> int:
@@ -60,16 +61,17 @@ class ReducedGaleConfiguration(_Value):
     primitive int pairs, none zero, and that ``angular_order`` is theirs.
     """
 
-    __slots__ = ("rows", "angular_order")
+    __slots__ = ()
+    _fields = ("rows", "angular_order")
 
-    def __init__(self, rows: Sequence[Vec2], angular_order: Sequence[int]):
+    def __new__(cls, rows: Sequence[Vec2], angular_order: Sequence[int]):
         clean = tuple((index(x), index(y)) for x, y in rows)
         if any(gcd(x, y) != 1 for x, y in clean):
             raise ValueError(f"reduced rows must be primitive, got {clean}")
         order = _angular_order(clean)
         if tuple(angular_order) != order:
             raise ValueError(f"angular_order must be the rows' order {order}")
-        super().__init__(clean, order)
+        return super().__new__(cls, clean, order)
 
     def distinct_directions(self) -> tuple[Vec2, ...]:
         """Distinct reduced directions in counterclockwise order."""
@@ -84,7 +86,8 @@ class ReducedGaleConfiguration(_Value):
 class Bouquet(_Value):
     """Maximal set of variables whose Gale vectors span one line."""
 
-    __slots__ = ("members", "direction", "mixed")
+    __slots__ = ()
+    _fields = ("members", "direction", "mixed")
 
 
 def _lagrange_reduced_columns(c0: Sequence[int], c1: Sequence[int]) -> tuple[Vec2, ...]:

@@ -33,16 +33,17 @@ class Cone2D(_Value):
     cones from generators already known to be valid, without the checks.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
+    _fields = ("a", "b")
 
-    def __init__(self, a: Vec2, b: Vec2):
+    def __new__(cls, a: Vec2, b: Vec2):
         a = (index(a[0]), index(a[1]))
         b = (index(b[0]), index(b[1]))
         if gcd(*a) != 1 or gcd(*b) != 1:
             raise ValueError("cone generators must be primitive")
         if cross(a, b) <= 0:
             raise ValueError("generators must be counterclockwise with angle < pi")
-        super().__init__(a, b)
+        return super().__new__(cls, a, b)
 
 
 class HilbertBasisSet(_Value):
@@ -55,7 +56,8 @@ class HilbertBasisSet(_Value):
     shares with cone 0.
     """
 
-    __slots__ = ("vectors", "provenance", "cones")
+    __slots__ = ()
+    _fields = ("vectors", "provenance", "cones")
 
 
 def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:

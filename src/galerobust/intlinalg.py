@@ -41,9 +41,10 @@ class IntegerMatrix(_Value):
     so that ``ncols`` is defined; the rows may be empty.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ()
+    _fields = ("rows",)
 
-    def __init__(self, rows: Iterable[Sequence[int]]):
+    def __new__(cls, rows: Iterable[Sequence[int]]):
         packed = []
         width = None
         for row in rows:
@@ -58,7 +59,7 @@ class IntegerMatrix(_Value):
             packed.append(t)
         if not packed:
             raise ValueError("matrix needs at least one row")
-        super().__init__(tuple(packed))
+        return super().__new__(cls, tuple(packed))
 
     @property
     def nrows(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import index
 
 from . import planar
-from ._value import _TupleValue, _Value
+from ._value import _Value
 from .errors import ConsistencyError
 from .gale import (
     Bouquet,
@@ -41,12 +41,12 @@ _DISAGREE = (
 )
 
 
-class Binomial(_TupleValue):
+class Binomial(_Value):
     """Canonical exponent-vector pair p^plus - p^minus.
 
-    A ``tuple`` subtype ``(plus, minus)``: it unpacks and has length 2,
-    but it equals, orders and shares a set entry only with another
-    Binomial, and it hashes in C.  Binomials are ordered by (plus, minus).
+    Like every value, a ``tuple`` subtype of its fields, ``(plus, minus)``,
+    that hashes in C, so sets of thousands of binomials cost no Python
+    frame per insert.  Binomials are ordered by (plus, minus).
 
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
@@ -144,10 +144,11 @@ class RobustnessReport(_Value):
     ``is_strongly_robust`` checks counts instead and skips the constructor.
     """
 
-    __slots__ = ("graver", "indispensable", "h_union", "h_core", "witness", "gale", "reduced")
+    __slots__ = ()
+    _fields = ("graver", "indispensable", "h_union", "h_core", "witness", "gale", "reduced")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         graver: frozenset[Binomial],
         indispensable: frozenset[Binomial],
         h_union: HilbertBasisSet,
@@ -160,7 +161,7 @@ class RobustnessReport(_Value):
             raise ConsistencyError(_EXCEEDS)
         if (witness is None) != (indispensable == graver):
             raise ConsistencyError(_DISAGREE)
-        super().__init__(graver, indispensable, h_union, h_core, witness, gale, reduced)
+        return super().__new__(cls, graver, indispensable, h_union, h_core, witness, gale, reduced)
 
     @property
     def strongly_robust(self) -> bool:

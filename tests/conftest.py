@@ -583,7 +583,8 @@ def reference_box_scan(rows, radius: int) -> list[tuple[int, int]]:
 class FiberEnumeration(_Value):
     """All nonnegative vectors sharing the image A target."""
 
-    __slots__ = ("target", "points")
+    __slots__ = ()
+    _fields = ("target", "points")
 
 
 def enumerate_fiber(b, v) -> FiberEnumeration:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -226,6 +227,48 @@ def test_text_entry_past_digit_limit_exit_two(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: MatrixFormatError: bad entry: {exc.value}\n"
+
+
+def _write_text_matrix(path, rows):
+    body = "\n".join(" ".join(map(str, r)) for r in rows)
+    path.write_text(f"{len(rows)} {len(rows[0])}\n{body}\n")
+
+
+def _digit_limit_line():
+    with pytest.raises(ValueError) as exc:
+        str(10**5000)
+    return f"error: GaleRobustError: output integer: {exc.value}\n"
+
+
+@pytest.mark.parametrize("command", ["gale", "bouquets"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_gale_rows_past_digit_limit_exit_two(tmp_path, capsys, command, to_file):
+    # Every entry parses (2001 digits at most), but the Gale rows are 5x5
+    # minors of about 10 000 digits, which str() refuses to write.
+    rng = random.Random(7)
+    big = tmp_path / "big.mat"
+    _write_text_matrix(big, [[rng.randint(10**2000, 10**2001) for _ in range(7)] for _ in range(5)])
+    out = tmp_path / "out.json"
+    rc = main([command, str(big), *(["--out", str(out)] if to_file else [])])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == _digit_limit_line()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "graver", "markov"])
+def test_exponents_past_digit_limit_exit_two(tmp_path, capsys, command):
+    # Kernel vectors (1, 0, -1, m, -m^2) and (0, 1, -1, m, -m^2): the fan is
+    # small, but the binomials carry m^2, about 5000 digits.
+    m = 10**2500 + 1
+    big = tmp_path / "big.mat"
+    _write_text_matrix(big, [[1, 1, 1, 0, 0], [0, 0, m, 1, 0], [0, 0, 0, m, 1]])
+    rc = main([command, str(big)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == _digit_limit_line()
 
 
 def test_json_nesting_past_recursion_limit_exit_two(tmp_path, capsys):

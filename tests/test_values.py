@@ -1,16 +1,20 @@
 """Value semantics of the public record types, of ``IntegerMatrix`` and of
 ``FiberEnumeration`` (a reference in conftest on the same base class).
 
-Each is immutable, compares and hashes by every field it names in
-``_fields``, prints as ``Name(field=value, ...)`` (``IntegerMatrix`` keeps
-its own form) and survives pickle and copy.
+Each is a tuple subtype of the fields it names in ``_fields``: immutable,
+compared and hashed by every field, equal and ordered only against its
+own class, printed as ``Name(field=value, ...)`` (``IntegerMatrix`` keeps
+its own form) and round-tripped by pickle and copy.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import galerobust
 from galerobust import (
     Binomial,
     Bouquet,
@@ -22,6 +26,7 @@ from galerobust import (
     gale_transform,
     is_strongly_robust,
 )
+from galerobust._value import _Value
 from galerobust.planar import convex_hull
 
 from conftest import (
@@ -123,6 +128,41 @@ def test_fields_are_read_only(case):
         assert getattr(obj, name) is value
     with pytest.raises(AttributeError):
         obj.extra = 1
+
+
+def _value_classes():
+    """Every subclass of ``_Value``, recursively, once every module is loaded
+    (but ``__main__``, which would run the command line)."""
+    for module in pkgutil.iter_modules(galerobust.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"galerobust.{module.name}")
+    found, todo = [], [_Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return found
+
+
+def test_every_value_class_keeps_the_one_base_contract():
+    classes = _value_classes()
+    assert {cls.__qualname__ for cls in classes} >= set(CASES)
+    for cls in classes:
+        assert cls.__dict__["__slots__"] == (), cls
+        assert cls._fields, cls
+        if len(cls._fields) >= 2:
+            # In C: a Python-level __hash__ costs a frame per set insert.
+            assert cls.__hash__ is tuple.__hash__, cls
+
+
+def test_a_value_is_not_the_tuple_of_its_fields(case):
+    obj = case[0]()
+    t = tuple(obj)
+    assert len(t) == len(obj._fields)
+    assert (obj == t) is False and (t == obj) is False
+    for compare in (lambda: obj < t, lambda: t < obj):
+        with pytest.raises(TypeError):
+            compare()
 
 
 def test_repr():
