@@ -23,7 +23,9 @@ that use them, so ``gale`` and ``bouquets`` never load them and ``plot``
 loads no ``toric``, and ``oracle`` is imported only on the oracle paths
 (the ``oracle`` subcommand and ``--oracle``).  ``json`` is imported only
 to read ``--json`` input or to quote a string that is not plain
-printable ASCII.
+printable ASCII.  No module of the package imports ``typing``:
+annotations are never evaluated, and their names come from
+``collections.abc``.
 """
 
 from __future__ import annotations
@@ -32,16 +34,12 @@ import argparse
 import sys
 import time
 import warnings
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import GaleRobustError
 from .gale import bouquets, gale_transform, is_positively_graded, reduce_configuration
 from .intlinalg import IntegerMatrix
 from .matrixio import load_matrix
-
-if TYPE_CHECKING:
-    from .toric import RobustnessReport
 
 
 def _too_many_digits(exc: ValueError) -> GaleRobustError:

@@ -9,9 +9,9 @@ configuration, whose angular fan drives everything else in the package.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from math import gcd
 from operator import index, mul
-from typing import Sequence
 
 from . import planar
 from ._value import _Value

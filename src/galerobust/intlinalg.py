@@ -25,9 +25,9 @@ value objects and safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
 
 from ._value import _Value
 from .errors import ConsistencyError, RankError

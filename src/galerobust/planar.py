@@ -7,8 +7,8 @@ comparisons and hull constructions are exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import index
-from typing import Iterable, Sequence
 
 Vec2 = tuple[int, int]
 

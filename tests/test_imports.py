@@ -2,8 +2,8 @@
 
 This session has already imported the whole package, so every check
 runs in a fresh interpreter, with the package found where this session
-found it.  Only the oracle paths load ``oracle``, and a run on a text
-matrix file loads no ``json``.
+found it.  Only the oracle paths load ``oracle``, a run on a text
+matrix file loads no ``json``, and no run loads ``typing``.
 """
 
 import json
@@ -30,11 +30,11 @@ ORACLE = {"galerobust.oracle"}
 OWN = {"galerobust"} | {f"galerobust.{p.stem}" for p in PACKAGE.glob("*.py")}
 
 
-def fresh_python(code: str, *args: str) -> str:
+def fresh_python(code: str, *args: str, flags: tuple = ()) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -118,6 +118,20 @@ def test_text_input_run_loads_neither_json_nor_oracle(argv):
     assert rc in ("0", "1") and loaded == []
 
 
+@pytest.mark.parametrize("cmd", ["gale", "bouquets", "check", "markov", "oracle", "plot"])
+def test_subcommand_loads_no_typing(tmp_path, cmd):
+    # -S keeps site out: an interpreter's site can load typing before the
+    # package does, and then this check would see nothing.
+    code = (
+        "import sys\n"
+        "from galerobust.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, 'typing' in sys.modules)\n"
+    )
+    out = fresh_python(code, cmd, EXAMPLE_FILE, "--out", str(tmp_path / "out"), flags=("-S",))
+    assert out.splitlines()[-1] in ("0 False", "1 False")
+
+
 def test_public_names_resolve_lazily():
     code = (
         "import importlib, json, sys\n"
@@ -139,6 +153,14 @@ def test_public_names_resolve_lazily():
     assert doc["wrong"] == []
     assert doc["unlisted"] == []
     assert doc["missing"] is not None and "no_such_name" in doc["missing"]
+
+
+def test_dir_is_sorted_and_lists_every_public_name():
+    # Unlike the fresh interpreter above, this session has resolved public
+    # names and loaded submodules, so dir() merges those globals too.
+    listed = dir(galerobust)
+    assert listed == sorted(listed)
+    assert set(galerobust.__all__) <= set(listed)
 
 
 def test_star_and_submodule_imports_still_work():

@@ -4,8 +4,13 @@ from math import gcd
 
 import pytest
 
-from galerobust import IntegerMatrix, RankError, rank
-from galerobust.intlinalg import _planar_kernel
+from galerobust import ConsistencyError, IntegerMatrix, RankError, rank
+from galerobust.intlinalg import (
+    _back_substitute,
+    _bareiss_forward,
+    _divide_exactly,
+    _planar_kernel,
+)
 
 from conftest import (
     EXAMPLE_A,
@@ -280,3 +285,22 @@ def test_planar_kernel_is_invariant_under_unimodular_row_operations():
         assert _planar_kernel(IntegerMatrix(rows)) == h
         checked += 1
     assert checked > 400
+
+
+def test_divide_exactly_raises_on_a_remainder():
+    assert _divide_exactly([-4, 0, 8], 4) == [-1, 0, 2]
+    with pytest.raises(ConsistencyError, match="division by 4 left a remainder"):
+        _divide_exactly([-4, 6, 8], 4)
+
+
+def test_back_substitute_raises_when_a_pivot_does_not_divide():
+    # The kernel's own elimination of the example, as _planar_kernel runs it.
+    n = len(EXAMPLE_A[0])
+    pivots, u, d = _bareiss_forward([row[::-1] for row in EXAMPLE_A], n)
+    u = [list(row) for row in u]
+    assert _back_substitute(pivots, u, d, n) == [[4, 5, 1, 0, -5, 0], [-2, 0, 2, 5, 0, -5]]
+    # The last pivot, -5, becomes -4: the first vector's dot product there
+    # is 0, the second's is 25, which -4 does not divide.
+    u[-1][pivots[-1]] += 1
+    with pytest.raises(ConsistencyError, match="division by -4 left a remainder"):
+        _back_substitute(pivots, u, d, n)
