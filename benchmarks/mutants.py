@@ -55,6 +55,9 @@ MUTANTS = [
      "            if rem:\n                raise _inexact(lead)\n", ""),
     ("typing-imported", "gale.py",
      "from collections.abc import Sequence", "from typing import Sequence"),
+    ("directions-in-row-order", "gale.py",
+     "return tuple(sorted(set(self.rows), key=_ANGLE_KEY))",
+     "return tuple(dict.fromkeys(self.rows))"),
 ]
 
 

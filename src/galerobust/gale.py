@@ -8,16 +8,17 @@ configuration, whose angular fan drives everything else in the package.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
+from functools import cmp_to_key
 from math import gcd
 from operator import index, mul
 
-from . import planar
 from ._value import _Value
 from .errors import RankError, ZeroRowError
 from .intlinalg import IntegerMatrix, _planar_kernel
-from .planar import Vec2
+from .planar import Vec2, angle_cmp
+
+_ANGLE_KEY = cmp_to_key(angle_cmp)
 
 
 class GaleConfiguration(_Value):
@@ -52,35 +53,38 @@ def _zero_row_error(i: int) -> ZeroRowError:
 
 
 class ReducedGaleConfiguration(_Value):
-    """Primitive 90-degree rotations of the Gale rows, with angular order.
+    """Primitive 90-degree rotations of the Gale rows.
 
     ``rows[i]`` belongs to variable i, as the rows keep their original
-    order, and ``angular_order`` lists row positions sorted
-    counterclockwise from the smallest angle in [0, 2*pi), ties broken
-    by original index.  The constructor checks that the rows are
-    primitive int pairs, none zero, and that ``angular_order`` is theirs.
+    order, and ``rows`` is the only stored field.  The angular facts are
+    computed from it each time they are read: ``angular_order`` lists
+    row positions sorted counterclockwise from the smallest angle in
+    [0, 2*pi), ties broken by original index, and
+    ``distinct_directions()`` lists the distinct rows in that order.
+    Only the fan and the command line's ``reduced_gale`` section read
+    them.  The constructor checks that the rows are primitive int pairs,
+    none zero.
     """
 
     __slots__ = ()
-    _fields = ("rows", "angular_order")
+    _fields = ("rows",)
 
-    def __new__(cls, rows: Sequence[Vec2], angular_order: Sequence[int]):
+    def __new__(cls, rows: Sequence[Vec2]):
         clean = tuple((index(x), index(y)) for x, y in rows)
         if any(gcd(x, y) != 1 for x, y in clean):
             raise ValueError(f"reduced rows must be primitive, got {clean}")
-        order = _angular_order(clean)
-        if tuple(angular_order) != order:
-            raise ValueError(f"angular_order must be the rows' order {order}")
-        return super().__new__(cls, clean, order)
+        return super().__new__(cls, clean)
+
+    @property
+    def angular_order(self) -> tuple[int, ...]:
+        # A stable sort; each row's comparator key is made once.
+        keys = list(map(_ANGLE_KEY, self.rows))
+        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
     def distinct_directions(self) -> tuple[Vec2, ...]:
         """Distinct reduced directions in counterclockwise order."""
-        seen: list[Vec2] = []
-        for i in self.angular_order:
-            v = self.rows[i]
-            if not seen or seen[-1] != v:
-                seen.append(v)
-        return tuple(seen)
+        # Distinct primitive rows never tie in angle.
+        return tuple(sorted(set(self.rows), key=_ANGLE_KEY))
 
 
 class Bouquet(_Value):
@@ -152,20 +156,13 @@ def gale_transform(a: IntegerMatrix) -> GaleConfiguration:
     return GaleConfiguration._trusted(rows)
 
 
-def _angular_order(rows: Sequence[Vec2]) -> tuple[int, ...]:
-    """Positions of the nonzero rows counterclockwise from angle 0, ties by index."""
-    # A stable sort; each row's comparator key is made once.
-    keys = list(map(functools.cmp_to_key(planar.angle_cmp), rows))
-    return tuple(sorted(range(len(rows)), key=keys.__getitem__))
-
-
 def reduce_configuration(b: GaleConfiguration) -> ReducedGaleConfiguration:
     """Rotate each row by 90 degrees and scale entries to be coprime."""
     reduced = []
     for (x, y) in b.rows:
-        g = gcd(abs(x), abs(y))
+        g = gcd(x, y)
         reduced.append((-y // g, x // g))
-    return ReducedGaleConfiguration._trusted(tuple(reduced), _angular_order(reduced))
+    return ReducedGaleConfiguration._trusted(tuple(reduced))
 
 
 def is_positively_graded(b: GaleConfiguration) -> bool:

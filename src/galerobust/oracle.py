@@ -1,12 +1,17 @@
-"""Brute-force verifiers, independent of the fan pipeline.
+"""Brute-force verifiers, built from the definitions, not from the fan.
 
 Everything here works straight from the definitions: fibers are
 enumerated as lattice points of an explicit polygon, walked column by
 column in exact integers, indispensability is read off the fiber, and
 primitive binomials are found by scanning a box of kernel vectors for
-divisibility-minimal elements.  None of it touches the Hilbert-basis
-code paths, which is the point: agreement between the two routes is the
-strongest correctness check the package has.
+divisibility-minimal elements.  No Hilbert basis is computed here, and
+agreement between the two routes is the strongest correctness check the
+package has.  Two pieces are shared with the fan route, so the box
+search is not fully independent of it: the command line sizes the box
+with ``hilbert.fan_radius_bound``, read off the fan's cones, and
+``graver_bruteforce`` builds its binomials with ``toric._gale_binomials``,
+which ``is_strongly_robust`` also calls.  ROADMAP.md item 4 plans a
+Graver check that needs no radius.
 
 The module is cheap to import: ``toric`` is imported inside the
 functions that use it.

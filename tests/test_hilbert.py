@@ -246,16 +246,13 @@ def test_fan_union_example(example_matrix):
 
 
 def test_fan_union_quadrant_cross():
-    reduced = ReducedGaleConfiguration(
-        rows=((1, 0), (0, 1), (-1, 0), (0, -1)),
-        angular_order=(0, 1, 2, 3),
-    )
+    reduced = ReducedGaleConfiguration(rows=((1, 0), (0, 1), (-1, 0), (0, -1)))
     union = fan_hilbert_union(reduced)
     assert set(union.vectors) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
 
 
 def test_fan_union_rejects_half_plane():
-    reduced = ReducedGaleConfiguration(rows=((1, 0), (0, 1)), angular_order=(0, 1))
+    reduced = ReducedGaleConfiguration(rows=((1, 0), (0, 1)))
     with pytest.raises(GradingError):
         fan_hilbert_union(reduced)
 
@@ -274,20 +271,17 @@ def test_fan_cones_equal_checked_cones():
             assert c == Cone2D(c.a, c.b)
             assert hash(c) == hash(Cone2D(c.a, c.b))
     with pytest.raises(ValueError, match="primitive"):
-        ReducedGaleConfiguration(rows=((2, 0), (0, 1), (-1, -1)), angular_order=(0, 1, 2))
+        ReducedGaleConfiguration(rows=((2, 0), (0, 1), (-1, -1)))
 
 
 def test_reduced_configuration_checks_its_fields():
     rows = ((1, 0), (0, 1), (-1, -1))
-    # Unchecked, a wrong order or a zero row made the fan read this graded
-    # configuration as not graded.
-    for order in ((2, 1, 0), (0, 0, 0), (0, 1)):
-        with pytest.raises(ValueError, match="angular_order"):
-            ReducedGaleConfiguration(rows, order)
+    # Unchecked, a zero row made the fan read this graded configuration
+    # as not graded.
     with pytest.raises(ValueError, match="primitive"):
-        ReducedGaleConfiguration(((1, 0), (0, 0), (-1, -1)), (0, 2, 1))
-    ok = ReducedGaleConfiguration([[1, 0], [0, 1], [-1, -1]], [0, 1, 2])
-    assert ok == ReducedGaleConfiguration(rows, (0, 1, 2))
+        ReducedGaleConfiguration(((1, 0), (0, 0), (-1, -1)))
+    ok = ReducedGaleConfiguration([[1, 0], [0, 1], [-1, -1]])
+    assert ok == ReducedGaleConfiguration(rows)
     assert ok == _reduced(rows)
     assert len(fan_hilbert_union(ok).vectors) == 3
 
@@ -355,6 +349,6 @@ def test_fan_radius_bound_covers_union(example_matrix):
     for v in full_turn(_half_turn(reduced)):
         assert max(abs(v[0]), abs(v[1])) <= bound
     # Rows on one line leave two directions: the fan's own error.
-    line = ReducedGaleConfiguration(rows=((1, 1), (-1, -1), (1, 1)), angular_order=(0, 2, 1))
+    line = ReducedGaleConfiguration(rows=((1, 1), (-1, -1), (1, 1)))
     with pytest.raises(GradingError, match="only 2 distinct directions"):
         fan_radius_bound(line)

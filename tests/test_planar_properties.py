@@ -1,9 +1,10 @@
 """Property tests, drawn by hypothesis, for the exact planar primitives.
 
 ``angle_cmp`` and ``convex_hull`` spell their half-plane and cross
-product tests out inline, as does the comparator sort in
-``reduce_configuration``.  Each must agree with the form built from
-``_half`` and ``cross`` calls that the test references keep
+product tests out inline, and ``ReducedGaleConfiguration`` sorts its
+rows with ``angle_cmp`` when ``angular_order`` or
+``distinct_directions()`` is read.  Each must agree with the form built
+from ``_half`` and ``cross`` calls that the test references keep
 (``reference_angle_cmp`` and ``reference_convex_hull`` in conftest), on
 vectors along both axes, repeated and collinear points, degenerate point
 sets and entries up to 2**70.
@@ -88,4 +89,6 @@ def test_convex_hull_matches_reference(points):
 def test_angular_order_matches_reference_sort(rows):
     reduced = reduce_configuration(GaleConfiguration(rows=tuple(rows)))
     key = functools.cmp_to_key(lambda i, j: reference_angle_cmp(reduced.rows[i], reduced.rows[j]))
-    assert reduced.angular_order == tuple(sorted(range(len(rows)), key=key))
+    order = tuple(sorted(range(len(rows)), key=key))
+    assert reduced.angular_order == order
+    assert reduced.distinct_directions() == tuple(dict.fromkeys(reduced.rows[i] for i in order))

@@ -47,8 +47,8 @@ CASES = {
         lambda: gale_transform(IntegerMatrix(TWISTED_CUBIC)),
     ),
     "ReducedGaleConfiguration": (
-        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1)), (0, 1, 2)),
-        lambda: ReducedGaleConfiguration(((0, 1), (1, -1), (-1, 0)), (0, 2, 1)),
+        lambda: ReducedGaleConfiguration(((0, 1), (-1, 0), (1, -1))),
+        lambda: ReducedGaleConfiguration(((0, 1), (1, -1), (-1, 0))),
     ),
     "Bouquet": (
         lambda: Bouquet(frozenset({0, 2}), (1, 0), True),
