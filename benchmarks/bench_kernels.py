@@ -23,9 +23,10 @@ matrices per cell, n 12, 18, 24 and 32, entries in +-9 and +-2^64:
 microseconds per call (best of N, the two timed in turn) and their
 ratio.  Then, over 100 seeded problems drawn like
 the acceptance suite, the median microseconds per problem (best of N)
-of the plain fan union, the half-turn of the symmetrized fan read off
-that union, and the Graver binomials built from it in one batch (one
-per half-turn vector), and the median microseconds per Graver element
+of the plain fan union, the one merge that reads both the half-turn of
+the symmetrized fan and the symmetric core off that union, and the
+Graver binomials built from the half-turn in one batch (one per
+half-turn vector), and the median microseconds per Graver element
 (best of N) of the fiber oracle ``is_indispensable_oracle``.  Then a
 least-squares line through the microseconds per call of
 ``is_strongly_robust`` (best of N, ten calls each) against the Graver
@@ -75,7 +76,7 @@ from galerobust import (
 )
 from galerobust.errors import RankError, ZeroRowError
 from galerobust.intlinalg import _bareiss_forward, _planar_kernel
-from galerobust.hilbert import symmetrized_half_turn
+from galerobust.hilbert import half_turn_and_core
 from galerobust.oracle import _box_scan
 from galerobust.toric import _gale_binomials
 
@@ -234,17 +235,17 @@ def bench_fan_layers(repeat):
     problems = _fan_problems(100, seed=20260810)
     layers = {
         "fan_hilbert_union": [],
-        "symmetrized_half_turn": [],
+        "half_turn_and_core": [],
         "graver binomials": [],
         "is_indispensable_oracle": [],
     }
     for _, b in problems:
         reduced = reduce_configuration(b)
         union = fan_hilbert_union(reduced)
-        half = symmetrized_half_turn(union)
+        half, _ = half_turn_and_core(union)
         for name, fn in (
             ("fan_hilbert_union", lambda: fan_hilbert_union(reduced)),
-            ("symmetrized_half_turn", lambda: symmetrized_half_turn(union)),
+            ("half_turn_and_core", lambda: half_turn_and_core(union)),
             ("graver binomials", lambda: _gale_binomials(b, half)),
         ):
             layers[name].append(_time(fn, repeat) * 1e6)

@@ -58,6 +58,12 @@ MUTANTS = [
     ("directions-in-row-order", "gale.py",
      "return tuple(sorted(set(self.rows), key=_ANGLE_KEY))",
      "return tuple(dict.fromkeys(self.rows))"),
+    ("core-on-any-merge-pair", "hilbert.py",
+     "            if w == u:\n                core.append(u)\n            else:\n"
+     "                merged.append(w)\n",
+     "            if w != u:\n                merged.append(w)\n            core.append(u)\n"),
+    ("provenance-wrap-label", "hilbert.py",
+     "if j else (0, last)", "if j else (last, 0)"),
 ]
 
 

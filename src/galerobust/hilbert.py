@@ -8,8 +8,12 @@ one step per basis element.
 ``fan_hilbert_union`` assembles the union in walk order: consecutive
 cones share a generator and each walk is already counterclockwise, so
 the chains are joined and rotated to start at angle 0, with no sort.
-The fan over {±rows} is centrally symmetric; one half-turn of its
-union, read off the plain union, holds each ± pair once.
+It stores the vectors and the cones; which cones hold each vector is
+computed when ``provenance`` is read.  The fan over {±rows} is
+centrally symmetric; one half-turn of its union, read off the plain
+union, holds each ± pair once.  The merge that builds that half-turn
+meets every pair u, -u of the union, so the symmetric core comes out
+of the same pass (``half_turn_and_core``).
 """
 
 from __future__ import annotations
@@ -47,17 +51,37 @@ class Cone2D(_Value):
 
 
 class HilbertBasisSet(_Value):
-    """Union of the Hilbert bases of a fan, with per-vector provenance.
+    """Union of the Hilbert bases of a fan, and the fan's cones.
 
-    ``vectors`` run counterclockwise from angle 0.  ``provenance`` pairs
-    each vector with the indices of the ``cones`` whose basis holds it:
-    (i,) inside cone i's chain, (i, i+1) on the generator cones i and
-    i+1 share, and (0, last) on the first direction, which the last cone
-    shares with cone 0.
+    ``vectors`` run counterclockwise from angle 0; cone i spans the fan's
+    directions d_i to d_(i+1), wrapping round, and d_0 is the first
+    direction from angle 0.  ``provenance`` is computed when read.
     """
 
     __slots__ = ()
-    _fields = ("vectors", "provenance", "cones")
+    _fields = ("vectors", "cones")
+
+    @property
+    def provenance(self) -> tuple[tuple[Vec2, tuple[int, ...]], ...]:
+        """Each vector paired with the indices of the cones whose basis holds it.
+
+        (i,) inside cone i's chain, (j-1, j) on the direction d_j that
+        cones j-1 and j share, and (0, last) on d_0, which the last cone
+        shares with cone 0.  One pass: the vectors before d_0 lie in the
+        last cone, and each direction met starts the next cone.
+        """
+        starts = {c.a: i for i, c in enumerate(self.cones)}
+        last = len(self.cones) - 1
+        i = last
+        labels = []
+        for v in self.vectors:
+            j = starts.get(v)
+            if j is None:
+                labels.append((v, (i,)))
+            else:
+                labels.append((v, (j - 1, j) if j else (0, last)))
+                i = j
+        return tuple(labels)
 
 
 def hilbert_basis(cone: Cone2D) -> tuple[Vec2, ...]:
@@ -126,37 +150,31 @@ def fan_hilbert_union(config: ReducedGaleConfiguration) -> HilbertBasisSet:
     angular order from 0 without sorting: Hilbert basis elements are
     primitive, so no two share an angle.
 
-    Each vector's provenance label lists the cones whose basis holds it:
-    (i,) inside chain i, (i, i+1) on the generator that cones i and i+1
-    share, and (0, last) on dirs[0], where the last cone meets cone 0.
-    The labels are built per chain, a repeated (i,) and one shared label,
-    and zipped with the vectors once.
+    No provenance labels are built here: ``HilbertBasisSet.provenance``
+    reads them off the vectors and the cones.
     """
     cones = _fan_cones(config.distinct_directions())
-    last = len(cones) - 1
     vectors: list[Vec2] = []
-    labels: list[tuple[int, ...]] = []
-    for i, chain in enumerate(map(hilbert_basis, cones)):
+    for chain in map(hilbert_basis, cones):
         vectors.extend(chain[1:])
-        labels.extend([(i,)] * (len(chain) - 2))
-        labels.append((i, i + 1) if i < last else (0, last))
     split = len(vectors)
     while planar._half(vectors[split - 1]) == 0:
         split -= 1
-    vectors = vectors[split:] + vectors[:split]
-    return HilbertBasisSet._trusted(
-        tuple(vectors), tuple(zip(vectors, labels[split:] + labels[:split])), tuple(cones)
-    )
+    return HilbertBasisSet._trusted(tuple(vectors[split:] + vectors[:split]), tuple(cones))
 
 
-def _half_merge(vectors: tuple[Vec2, ...]) -> list[Vec2]:
-    """The distinct members of ±vectors in [0, pi), counterclockwise.
+def _half_merge(vectors: tuple[Vec2, ...]) -> tuple[list[Vec2], list[Vec2]]:
+    """The distinct members of ±vectors in [0, pi), counterclockwise, and
+    the members u there with both u and -u in ``vectors``, in the same order.
 
     ``vectors`` are primitive, distinct and counterclockwise from angle 0.
+    The vectors in [pi, 2pi) are negated and merged into those in
+    [0, pi); a pair u, -u of ``vectors`` meets there as one vector twice.
     """
     split = bisect.bisect(vectors, 0, key=planar._half)
     lower = [(-x, -y) for x, y in vectors[split:]]
     merged: list[Vec2] = []
+    core: list[Vec2] = []
     j = 0
     k = len(lower)
     for u in vectors[:split]:
@@ -166,17 +184,36 @@ def _half_merge(vectors: tuple[Vec2, ...]) -> list[Vec2]:
             # cross(w, u) >= 0: w is not past u.
             if w[0] * uy - w[1] * ux < 0:
                 break
-            if w != u:
+            if w == u:
+                core.append(u)
+            else:
                 merged.append(w)
             j += 1
         merged.append(u)
-    return merged + lower[j:]
+    return merged + lower[j:], core
+
+
+def _both_signs(upper: list[Vec2]) -> tuple[Vec2, ...]:
+    """Vectors in [0, pi), counterclockwise, then their negations: the
+    counterclockwise order from angle 0 of a centrally symmetric set."""
+    return tuple(upper + [(-x, -y) for x, y in upper])
 
 
 def _symmetric_directions(config: ReducedGaleConfiguration) -> tuple[Vec2, ...]:
     """The distinct directions of {±rows}, counterclockwise from angle 0."""
-    half = _half_merge(config.distinct_directions())
-    return tuple(half + [(-x, -y) for x, y in half])
+    return _both_signs(_half_merge(config.distinct_directions())[0])
+
+
+def _walk_gaps(merged: list[Vec2]) -> list[Vec2]:
+    """The half-turn of H_S from the merged vectors M in [0, pi): each
+    vector after M[0] up to -M[0], with the walks across the gaps."""
+    half: list[Vec2] = []
+    for p, q in zip(merged, merged[1:] + [(-merged[0][0], -merged[0][1])]):
+        # cross(p, q) > 1: a gap that holds more basis vectors.
+        if p[0] * q[1] - p[1] * q[0] > 1:
+            half.extend(hilbert_basis(Cone2D._trusted(p, q))[1:-1])
+        half.append(q)
+    return half
 
 
 def symmetrized_half_turn(union: HilbertBasisSet) -> list[Vec2]:
@@ -188,24 +225,23 @@ def symmetrized_half_turn(union: HilbertBasisSet) -> list[Vec2]:
     walks across their gaps of determinant > 1.  With M their vectors in
     [0, pi), the result runs from just after M[0] to -M[0].
     """
-    merged = _half_merge(union.vectors)
-    half: list[Vec2] = []
-    for p, q in zip(merged, merged[1:] + [(-merged[0][0], -merged[0][1])]):
-        # cross(p, q) > 1: a gap that holds more basis vectors.
-        if p[0] * q[1] - p[1] * q[0] > 1:
-            half.extend(hilbert_basis(Cone2D._trusted(p, q))[1:-1])
-        half.append(q)
-    return half
+    return _walk_gaps(_half_merge(union.vectors)[0])
 
 
 def symmetric_core(h: HilbertBasisSet) -> tuple[Vec2, ...]:
     """Vectors u with both u and -u in the union; centrally symmetric.
 
     The result keeps both members of every pair, in the union's
-    counterclockwise order.
+    counterclockwise order: the members in [0, pi) that the half-turn
+    merge meets twice, then their negations.
     """
-    have = set(h.vectors)
-    return tuple([v for v in h.vectors if (-v[0], -v[1]) in have])
+    return _both_signs(_half_merge(h.vectors)[1])
+
+
+def half_turn_and_core(union: HilbertBasisSet) -> tuple[list[Vec2], tuple[Vec2, ...]]:
+    """``symmetrized_half_turn(union)`` and ``symmetric_core(union)`` from one merge."""
+    merged, upper = _half_merge(union.vectors)
+    return _walk_gaps(merged), _both_signs(upper)
 
 
 def fan_radius_bound(config: ReducedGaleConfiguration) -> int:

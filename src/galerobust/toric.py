@@ -4,9 +4,10 @@ Binomials are exponent-vector pairs (plus, minus) with disjoint supports;
 no polynomial objects are materialized.  All is read off the one plain
 fan of the reduced Gale configuration: the Graver basis is B u for one u
 per ± pair of the symmetrized half-turn (the union, its negation and the
-gap walks), the indispensable set B u for u in the symmetric core; as B
-has rank 2, u -> B u is injective, so the sets are checked as counts of
-vectors in Z^2.  ``is_strongly_robust`` returns them in a
+gap walks), the indispensable set B u for u in the symmetric core.  One
+merge of the union with its negation gives both the half-turn and the
+core.  As B has rank 2, u -> B u is injective, so the sets are checked
+as counts of vectors in Z^2.  ``is_strongly_robust`` returns them in a
 ``RobustnessReport``, which computes the facts that follow when read.
 """
 
@@ -25,12 +26,7 @@ from .gale import (
     gale_transform,
     reduce_configuration,
 )
-from .hilbert import (
-    HilbertBasisSet,
-    fan_hilbert_union,
-    symmetric_core,
-    symmetrized_half_turn,
-)
+from .hilbert import HilbertBasisSet, fan_hilbert_union, half_turn_and_core
 from .intlinalg import IntegerMatrix
 from .planar import Vec2
 
@@ -220,7 +216,7 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
     b = gale_transform(a)
     reduced = reduce_configuration(b)
     union = fan_hilbert_union(reduced)
-    core = symmetric_core(union)
+    half, core = half_turn_and_core(union)
     core_set = set(core)
 
     witness = None
@@ -229,7 +225,6 @@ def is_strongly_robust(a: IntegerMatrix) -> RobustnessReport:
             witness = row
             break
 
-    half = symmetrized_half_turn(union)
     binomials = _gale_binomials(b, half)
     indisp = [g for u, g in zip(half, binomials) if u in core_set]
     graver = frozenset(binomials)

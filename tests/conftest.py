@@ -648,21 +648,29 @@ def _reference_cones(dirs) -> list[Cone2D]:
 def reference_fan_union(dirs) -> HilbertBasisSet:
     """Fan union assembled by sorting, as before unions kept walk order.
 
-    One Hilbert basis per consecutive cone, a provenance dict filled cone
-    by cone, then an exact angle sort of the distinct vectors.  Raises
-    the same GradingError texts as the fan code.
+    One Hilbert basis per consecutive cone, then an exact angle sort of
+    the distinct vectors.  Raises the same GradingError texts as the fan
+    code.
     """
     cones = _reference_cones(dirs)
+    distinct = {v for cone in cones for v in hilbert_basis(cone)}
+    vectors = tuple(sorted(distinct, key=functools.cmp_to_key(reference_angle_cmp)))
+    return HilbertBasisSet(vectors=vectors, cones=tuple(cones))
+
+
+def reference_provenance(union: HilbertBasisSet) -> tuple:
+    """``union.provenance`` built the way the fan code once stored it.
+
+    Every cone's Hilbert basis is walked and each vector's cones are
+    collected in a dict, cone by cone, then listed in the union's order:
+    the wrap-round label comes out as (0, last), as the lower index is
+    filled first.
+    """
     prov: dict = {}
-    for idx, cone in enumerate(cones):
+    for idx, cone in enumerate(union.cones):
         for v in hilbert_basis(cone):
             prov.setdefault(v, []).append(idx)
-    vectors = tuple(sorted(prov, key=functools.cmp_to_key(reference_angle_cmp)))
-    return HilbertBasisSet(
-        vectors=vectors,
-        provenance=tuple((v, tuple(prov[v])) for v in vectors),
-        cones=tuple(cones),
-    )
+    return tuple((v, tuple(prov[v])) for v in union.vectors)
 
 
 def reference_symmetric_directions(config) -> tuple[tuple[int, int], ...]:

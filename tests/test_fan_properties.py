@@ -3,11 +3,15 @@ binomial builder.
 
 The plain union is assembled in walk order and must equal the sort-based
 assembly over every cone (``reference_fan_union`` in conftest) in
-vectors, provenance and cones, and fail with the same GradingError
-texts.  The symmetrized fan must build the same cones over the same
-directions, and the half-turn read off the plain union must be one half
-of its reference union, in counterclockwise order, with the ± pairs of
-the half-turn walked cone by cone (``reference_half_turn``).
+vectors and cones, and fail with the same GradingError texts; the
+provenance it computes when read must equal the labels collected cone
+by cone in a dict (``reference_provenance``).  The symmetrized fan must
+build the same cones over the same directions, and the half-turn read
+off the plain union must be one half of its reference union, in
+counterclockwise order, with the ± pairs of the half-turn walked cone
+by cone (``reference_half_turn``).  The symmetric core that the same
+merge yields must be the vectors of the union whose negation is in it,
+in the union's order.
 ``binomial_from_gale`` and ``binomial_from_vector`` (in conftest) are
 one-vector calls of the unchecked batch builder behind ``_gale_binomials``, so each
 result must also pass the public constructor's checks, and a batch must
@@ -26,7 +30,13 @@ from galerobust import (
     fan_hilbert_union,
     reduce_configuration,
 )
-from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_half_turn
+from galerobust.hilbert import (
+    _fan_cones,
+    _symmetric_directions,
+    half_turn_and_core,
+    symmetric_core,
+    symmetrized_half_turn,
+)
 from galerobust.toric import _gale_binomials
 
 from conftest import (
@@ -38,6 +48,7 @@ from conftest import (
     reference_binomial,
     reference_fan_union,
     reference_half_turn,
+    reference_provenance,
     reference_symmetric_directions,
 )
 
@@ -97,6 +108,7 @@ def test_fan_unions_equal_sorted_assembly(b):
     if isinstance(union, str):
         # The half-turn is read off the plain union, so only it can fail.
         return
+    assert union.provenance == reference_provenance(union)
     dirs = _symmetric_directions(reduced)
     assert dirs == reference_symmetric_directions(reduced)
     expected = reference_fan_union(dirs)
@@ -106,6 +118,10 @@ def test_fan_unions_equal_sorted_assembly(b):
     walked = reference_half_turn(reduced)
     assert len(half) == len(walked)
     assert set(full_turn(half)) == set(full_turn(walked))
+    have = set(union.vectors)
+    core = tuple(v for v in union.vectors if (-v[0], -v[1]) in have)
+    assert symmetric_core(union) == core
+    assert half_turn_and_core(union) == (half, core)
 
 
 @settings(max_examples=300, deadline=None)

@@ -324,8 +324,8 @@ def test_fan_union_wrap_cone_straddles_the_x_axis():
 
 
 def test_symmetric_core_trivial_cases():
-    assert symmetric_core(HilbertBasisSet(((1, 0), (0, 1)), (), ())) == ()
-    union = HilbertBasisSet(((1, 0), (0, 1), (-1, 0)), (), ())
+    assert symmetric_core(HilbertBasisSet(((1, 0), (0, 1)), ())) == ()
+    union = HilbertBasisSet(((1, 0), (0, 1), (-1, 0)), ())
     assert symmetric_core(union) == ((1, 0), (-1, 0))
 
 

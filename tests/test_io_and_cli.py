@@ -257,18 +257,45 @@ def test_gale_rows_past_digit_limit_exit_two(tmp_path, capsys, command, to_file)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["check", "graver", "markov"])
+_M = 10**2500 + 1
+# Kernel vectors (1, 0, -1, m, -m^2) and (0, 1, -1, m, -m^2): the fan is
+# small, but the Graver binomials carry m^2, about 5000 digits.  The one
+# indispensable binomial, x1 - x2, does not.
+_BIG_GRAVER = [[1, 1, 1, 0, 0], [0, 0, _M, 1, 0], [0, 0, 0, _M, 1]]
+# Kernel vectors (1, 0, -m, m^2, 0) and (0, 1, 0, 0, -1): strongly robust,
+# so both Graver binomials are indispensable, and x1*x4^(m^2) - x3^m
+# carries m^2.
+_BIG_ROBUST = [[_M, 0, 1, 0, 0], [0, 0, _M, 1, 0], [0, 1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("command", ["check", "graver", "indispensable", "markov"])
 def test_exponents_past_digit_limit_exit_two(tmp_path, capsys, command):
-    # Kernel vectors (1, 0, -1, m, -m^2) and (0, 1, -1, m, -m^2): the fan is
-    # small, but the binomials carry m^2, about 5000 digits.
-    m = 10**2500 + 1
+    # Each command exits 2 on every input whose printed binomials carry m^2.
+    inputs = [_BIG_ROBUST]
+    if command in ("check", "graver"):
+        inputs.append(_BIG_GRAVER)
+    for rows in inputs:
+        big = tmp_path / "big.mat"
+        _write_text_matrix(big, rows)
+        rc = main([command, str(big)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == _digit_limit_line()
+
+
+@pytest.mark.parametrize("command", ["indispensable", "markov"])
+def test_a_list_not_printed_cannot_fail_the_output(tmp_path, capsys, command):
+    # The Graver list is not built for these commands, so its m^2 exponents
+    # cannot stop them from printing the indispensable set.
     big = tmp_path / "big.mat"
-    _write_text_matrix(big, [[1, 1, 1, 0, 0], [0, 0, m, 1, 0], [0, 0, 0, m, 1]])
+    _write_text_matrix(big, _BIG_GRAVER)
     rc = main([command, str(big)])
     captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err == _digit_limit_line()
+    assert rc == 0
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc[command] == [{"plus": [1, 0, 0, 0, 0], "minus": [0, 1, 0, 0, 0], "pretty": "x1 - x2"}]
 
 
 def test_json_nesting_past_recursion_limit_exit_two(tmp_path, capsys):

@@ -15,6 +15,7 @@ from galerobust import (
 )
 from galerobust import toric
 from galerobust.gale import GaleConfiguration
+from galerobust.hilbert import symmetrized_half_turn
 from galerobust.planar import convex_hull
 
 from conftest import (
@@ -313,16 +314,16 @@ def test_permuting_columns_permutes_the_exponents(acceptance_suite):
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
 def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatch):
     a = request.getfixturevalue(name)
-    real = toric.symmetrized_half_turn
+    real = toric.half_turn_and_core
 
     def half_turn_without_a_core_pair(union):
-        half = real(union)
-        u = toric.symmetric_core(union)[0]
+        half, core = real(union)
+        u = core[0]
         pair = {u, (-u[0], -u[1])}
         assert len(pair & set(half)) == 1
-        return [v for v in half if v not in pair]
+        return [v for v in half if v not in pair], core
 
-    monkeypatch.setattr(toric, "symmetrized_half_turn", half_turn_without_a_core_pair)
+    monkeypatch.setattr(toric, "half_turn_and_core", half_turn_without_a_core_pair)
     with pytest.raises(ConsistencyError, match="exceeds the Graver basis"):
         toric.is_strongly_robust(a)
 
@@ -330,28 +331,27 @@ def test_core_pair_missing_from_graver_union_is_caught(name, request, monkeypatc
 @pytest.mark.parametrize("name", ["example_matrix", "twisted_cubic"])
 def test_core_pair_twice_in_the_half_turn_is_caught(name, request, monkeypatch):
     a = request.getfixturevalue(name)
-    real = toric.symmetrized_half_turn
+    real = toric.half_turn_and_core
 
     def half_turn_with_both_members_of_a_core_pair(union):
-        half = real(union)
-        core = set(toric.symmetric_core(union))
+        half, core = real(union)
         u = next(v for v in half if v in core)
-        return half + [(-u[0], -u[1])]
+        return half + [(-u[0], -u[1])], core
 
-    monkeypatch.setattr(toric, "symmetrized_half_turn", half_turn_with_both_members_of_a_core_pair)
+    monkeypatch.setattr(toric, "half_turn_and_core", half_turn_with_both_members_of_a_core_pair)
     with pytest.raises(ConsistencyError, match="exceeds the Graver basis"):
         toric.is_strongly_robust(a)
 
 
 def test_half_turn_cut_to_the_core_is_caught(twisted_cubic, monkeypatch):
     # The counts then say the sets are equal, against the witness.
-    real = toric.symmetrized_half_turn
+    real = toric.half_turn_and_core
 
     def core_of_the_half_turn(union):
-        core = set(toric.symmetric_core(union))
-        return [v for v in real(union) if v in core]
+        half, core = real(union)
+        return [v for v in half if v in core], core
 
-    monkeypatch.setattr(toric, "symmetrized_half_turn", core_of_the_half_turn)
+    monkeypatch.setattr(toric, "half_turn_and_core", core_of_the_half_turn)
     with pytest.raises(ConsistencyError, match="direct Graver comparison disagree"):
         toric.is_strongly_robust(twisted_cubic)
 
@@ -406,7 +406,7 @@ def test_graver_element_from_a_gap_walk():
     assert {render_binomial(g) for g in report.indispensable} == {"x1 - x2"}
     assert not report.strongly_robust
     walked = [
-        u for u in toric.symmetrized_half_turn(report.h_union)
+        u for u in symmetrized_half_turn(report.h_union)
         if render_binomial(binomial_from_gale(b, u)) == "x1*x2 - x3"
     ]
     assert len(walked) == 1

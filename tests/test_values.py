@@ -63,16 +63,8 @@ CASES = {
         lambda: Cone2D((1, 0), (0, 1)),
     ),
     "HilbertBasisSet": (
-        lambda: HilbertBasisSet(
-            ((1, 0), (1, 1), (1, 2)),
-            (((1, 0), (0,)), ((1, 1), (0,)), ((1, 2), (0,))),
-            (Cone2D((1, 0), (1, 2)),),
-        ),
-        lambda: HilbertBasisSet(
-            ((1, 0), (1, 2)),
-            (((1, 0), (0,)), ((1, 1), (0,)), ((1, 2), (0,))),
-            (Cone2D((1, 0), (1, 2)),),
-        ),
+        lambda: HilbertBasisSet(((1, 0), (1, 1), (1, 2)), (Cone2D((1, 0), (1, 2)),)),
+        lambda: HilbertBasisSet(((1, 0), (0, 1)), (Cone2D((1, 0), (0, 1)),)),
     ),
     "Binomial": (
         lambda: Binomial((1, 0, 2), (0, 3, 0)),
