@@ -64,6 +64,9 @@ MUTANTS = [
      "            if w != u:\n                merged.append(w)\n            core.append(u)\n"),
     ("provenance-wrap-label", "hilbert.py",
      "if j else (0, last)", "if j else (last, 0)"),
+    ("plot-draws-half-turn", "cli.py",
+     "half_turn_and_core(fan_hilbert_union(reduced))[1]",
+     "half_turn_and_core(fan_hilbert_union(reduced))[0]"),
 ]
 
 

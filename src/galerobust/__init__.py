@@ -40,7 +40,6 @@ _HOMES = {
         "fan_hilbert_union",
         "fan_radius_bound",
         "hilbert_basis",
-        "symmetric_core",
     ),
     "intlinalg": (
         "IntegerMatrix",

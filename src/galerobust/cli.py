@@ -255,12 +255,12 @@ def cmd_bouquets(args) -> int:
 def cmd_plot(args) -> int:
     # The drawing needs only the reduced rows and the symmetric core: the
     # stages of is_strongly_robust up to the core, which fail as it does.
-    from .hilbert import fan_hilbert_union, symmetric_core
+    from .hilbert import fan_hilbert_union, half_turn_and_core
     from .svgplot import render_svg
 
     m = load_matrix(args.path, args.json)
     reduced = reduce_configuration(gale_transform(m))
-    svg = render_svg(reduced.rows, symmetric_core(fan_hilbert_union(reduced)))
+    svg = render_svg(reduced.rows, half_turn_and_core(fan_hilbert_union(reduced))[1])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.out}", file=sys.stderr)

@@ -12,8 +12,8 @@ It stores the vectors and the cones; which cones hold each vector is
 computed when ``provenance`` is read.  The fan over {±rows} is
 centrally symmetric; one half-turn of its union, read off the plain
 union, holds each ± pair once.  The merge that builds that half-turn
-meets every pair u, -u of the union, so the symmetric core comes out
-of the same pass (``half_turn_and_core``).
+meets every pair u, -u of the union, so ``half_turn_and_core`` returns
+both the half-turn and the symmetric core from that one pass.
 """
 
 from __future__ import annotations
@@ -216,30 +216,22 @@ def _walk_gaps(merged: list[Vec2]) -> list[Vec2]:
     return half
 
 
-def symmetrized_half_turn(union: HilbertBasisSet) -> list[Vec2]:
-    """One vector of each ± pair of H_S, the union of the fan over {±rows}.
-
-    That fan (of the Lawrence configuration) refines the plain one, and
-    irreducible stays irreducible in a subcone: H_S holds the plain union
-    H_P and -H_P.  Their runs step by determinant 1, so H_S adds only the
-    walks across their gaps of determinant > 1.  With M their vectors in
-    [0, pi), the result runs from just after M[0] to -M[0].
-    """
-    return _walk_gaps(_half_merge(union.vectors)[0])
-
-
-def symmetric_core(h: HilbertBasisSet) -> tuple[Vec2, ...]:
-    """Vectors u with both u and -u in the union; centrally symmetric.
-
-    The result keeps both members of every pair, in the union's
-    counterclockwise order: the members in [0, pi) that the half-turn
-    merge meets twice, then their negations.
-    """
-    return _both_signs(_half_merge(h.vectors)[1])
-
-
 def half_turn_and_core(union: HilbertBasisSet) -> tuple[list[Vec2], tuple[Vec2, ...]]:
-    """``symmetrized_half_turn(union)`` and ``symmetric_core(union)`` from one merge."""
+    """The half-turn of H_S and the symmetric core of the union, from one merge.
+
+    H_S is the union of the fan over {±rows} (the Lawrence configuration's
+    fan).  That fan refines the plain one, and irreducible stays
+    irreducible in a subcone: H_S holds the plain union H_P and -H_P.
+    Their runs step by determinant 1, so H_S adds only the walks across
+    their gaps of determinant > 1.  With M their vectors in [0, pi), the
+    half-turn holds one vector of each ± pair of H_S, from just after
+    M[0] to -M[0].
+
+    The core is the vectors u with both u and -u in the union; it is
+    centrally symmetric and keeps both members of every pair, in the
+    union's counterclockwise order: the members in [0, pi) that the merge
+    meets twice, then their negations.
+    """
     merged, upper = _half_merge(union.vectors)
     return _walk_gaps(merged), _both_signs(upper)
 

@@ -47,10 +47,10 @@ class Binomial(_Value):
     Invariants: equal lengths, nonnegative entries, disjoint supports,
     not both zero, and plus lexicographically greater than minus (one
     representative per sign pair).  The public constructor stores both
-    parts as int tuples and checks them all.  ``_trusted_binomials``
-    splits nonzero int vectors into parts that meet every invariant by
-    construction and builds the binomials with ``Binomial._trusted_all``,
-    without the checks.
+    parts as int tuples and checks them all.  ``_gale_binomials``
+    splits the nonzero kernel vectors B u into parts that meet every
+    invariant by construction and builds the binomials with
+    ``Binomial._trusted_all``, without the checks.
     """
 
     __slots__ = ()
@@ -73,28 +73,6 @@ class Binomial(_Value):
     @property
     def vector(self) -> tuple[int, ...]:
         return tuple(p - m for p, m in zip(self.plus, self.minus))
-
-
-def _trusted_binomials(coords: list[list[int]]) -> list[Binomial]:
-    """Canonical binomials of int vectors given coordinate-wise, in order.
-
-    ``coords[j]`` lists the j-th coordinate of every vector, so each part
-    takes one comprehension per coordinate rather than one per vector.
-    The positive and negative parts of a nonzero vector meet every
-    invariant of ``Binomial`` once the lex-greater one is ``plus``, so
-    ``Binomial._trusted_all`` builds them in one ``map`` of
-    ``tuple.__new__``, without the constructor's checks.  ValueError if
-    any vector is zero.
-    """
-    pluses = list(zip(*[[x if x > 0 else 0 for x in c] for c in coords]))
-    minuses = list(zip(*[[-x if x < 0 else 0 for x in c] for c in coords]))
-    for k, (plus, minus) in enumerate(zip(pluses, minuses)):
-        if plus <= minus:
-            # Disjoint supports: the parts are equal only when both are zero.
-            if plus == minus:
-                raise ValueError("zero vector yields no binomial")
-            pluses[k], minuses[k] = minus, plus
-    return Binomial._trusted_all(pluses, minuses)
 
 
 def variable_names(n: int, letters: bool = False) -> list[str]:
@@ -122,12 +100,26 @@ def render_binomial(b: Binomial, letters: bool = False) -> str:
 
 
 def _gale_binomials(b: GaleConfiguration, us: list[Vec2]) -> list[Binomial]:
-    """Binomials of the kernel vectors B u for u in us, in order.
+    """Canonical binomials of the kernel vectors B u for u in us, in order.
 
     The product B U is taken one Gale row at a time: row j gives the j-th
-    coordinate of every B u.  ValueError if some B u is zero.
+    coordinate of every B u, so each part takes one comprehension per
+    coordinate rather than one per vector.  The positive and negative
+    parts of a nonzero vector meet every invariant of ``Binomial`` once
+    the lex-greater one is ``plus``, so ``Binomial._trusted_all`` builds
+    them in one ``map`` of ``tuple.__new__``, without the constructor's
+    checks.  ValueError if some B u is zero.
     """
-    return _trusted_binomials([[r0 * x + r1 * y for x, y in us] for r0, r1 in b.rows])
+    coords = [[r0 * x + r1 * y for x, y in us] for r0, r1 in b.rows]
+    pluses = list(zip(*[[x if x > 0 else 0 for x in c] for c in coords]))
+    minuses = list(zip(*[[-x if x < 0 else 0 for x in c] for c in coords]))
+    for k, (plus, minus) in enumerate(zip(pluses, minuses)):
+        if plus <= minus:
+            # Disjoint supports: the parts are equal only when both are zero.
+            if plus == minus:
+                raise ValueError("zero vector yields no binomial")
+            pluses[k], minuses[k] = minus, plus
+    return Binomial._trusted_all(pluses, minuses)
 
 
 class RobustnessReport(_Value):

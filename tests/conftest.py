@@ -27,7 +27,7 @@ from galerobust.gale import Bouquet, GaleConfiguration
 from galerobust.intlinalg import _back_substitute, _bareiss_forward, _divide_exactly
 from galerobust.oracle import _fiber_rows, _fiber_walk
 from galerobust.planar import cross
-from galerobust.toric import _gale_binomials, _trusted_binomials
+from galerobust.toric import _gale_binomials
 
 DATA = Path(__file__).parent / "data"
 
@@ -508,13 +508,9 @@ def reference_binomial(z) -> Binomial:
     return Binomial(plus=plus, minus=minus)
 
 
-def binomial_from_vector(z) -> Binomial:
-    """Canonical binomial of a nonzero integer vector, by the package's
-    unchecked batch builder on a batch of one."""
-    coords = [[index(x)] for x in z]
-    if not coords:
-        raise ValueError("zero vector yields no binomial")
-    return _trusted_binomials(coords)[0]
+# The package builds binomials only in batches of kernel vectors B u
+# (``_gale_binomials``); a binomial of one given vector is the reference's.
+binomial_from_vector = reference_binomial
 
 
 def binomial_from_gale(b, u) -> Binomial:

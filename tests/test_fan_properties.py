@@ -12,11 +12,12 @@ counterclockwise order, with the ± pairs of the half-turn walked cone
 by cone (``reference_half_turn``).  The symmetric core that the same
 merge yields must be the vectors of the union whose negation is in it,
 in the union's order.
-``binomial_from_gale`` and ``binomial_from_vector`` (in conftest) are
-one-vector calls of the unchecked batch builder behind ``_gale_binomials``, so each
-result must also pass the public constructor's checks, and a batch must
-equal the per-vector reference (``reference_binomial`` in conftest),
-checked by that constructor, in order.
+``binomial_from_gale`` (in conftest) is a one-vector call of the
+unchecked batch builder ``_gale_binomials``, so each result must also
+pass the public constructor's checks and equal ``binomial_from_vector``,
+which builds through the checked reference; a batch must equal the
+per-vector reference (``reference_binomial`` in conftest) in order, and
+a batch with a zero kernel vector must raise the package's error.
 """
 
 import pytest
@@ -34,8 +35,6 @@ from galerobust.hilbert import (
     _fan_cones,
     _symmetric_directions,
     half_turn_and_core,
-    symmetric_core,
-    symmetrized_half_turn,
 )
 from galerobust.toric import _gale_binomials
 
@@ -113,15 +112,13 @@ def test_fan_unions_equal_sorted_assembly(b):
     assert dirs == reference_symmetric_directions(reduced)
     expected = reference_fan_union(dirs)
     assert tuple(_fan_cones(dirs)) == expected.cones
-    half = symmetrized_half_turn(union)
+    half, core = half_turn_and_core(union)
     assert_half_turn_of(half, expected)
     walked = reference_half_turn(reduced)
     assert len(half) == len(walked)
     assert set(full_turn(half)) == set(full_turn(walked))
     have = set(union.vectors)
-    core = tuple(v for v in union.vectors if (-v[0], -v[1]) in have)
-    assert symmetric_core(union) == core
-    assert half_turn_and_core(union) == (half, core)
+    assert core == tuple(v for v in union.vectors if (-v[0], -v[1]) in have)
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,10 +13,9 @@ from galerobust import (
     gale_transform,
     hilbert_basis,
     reduce_configuration,
-    symmetric_core,
 )
 from galerobust.gale import GaleConfiguration, ReducedGaleConfiguration
-from galerobust.hilbert import _fan_cones, _symmetric_directions, symmetrized_half_turn
+from galerobust.hilbert import _fan_cones, _symmetric_directions, half_turn_and_core
 from galerobust.planar import cross
 
 from conftest import (
@@ -242,7 +241,7 @@ def test_fan_union_example(example_matrix):
             c = union.cones[i]
             assert 0 <= cross(c.a, v) <= cross(c.a, c.b)
             assert 0 <= cross(v, c.b) <= cross(c.a, c.b)
-    assert symmetric_core(union) == union.vectors
+    assert half_turn_and_core(union)[1] == union.vectors
 
 
 def test_fan_union_quadrant_cross():
@@ -258,7 +257,8 @@ def test_fan_union_rejects_half_plane():
 
 
 def _half_turn(reduced):
-    return symmetrized_half_turn(fan_hilbert_union(reduced))
+    half, _ = half_turn_and_core(fan_hilbert_union(reduced))
+    return half
 
 
 def test_fan_cones_equal_checked_cones():
@@ -294,10 +294,8 @@ def _reduced(rows):
 def _assert_unions_match_reference(reduced):
     union = fan_hilbert_union(reduced)
     assert union == reference_fan_union(reduced.distinct_directions())
-    assert_half_turn_of(
-        symmetrized_half_turn(union),
-        reference_fan_union(reference_symmetric_directions(reduced)),
-    )
+    half, _ = half_turn_and_core(union)
+    assert_half_turn_of(half, reference_fan_union(reference_symmetric_directions(reduced)))
 
 
 def test_fan_union_starting_on_the_x_axis():
@@ -324,9 +322,10 @@ def test_fan_union_wrap_cone_straddles_the_x_axis():
 
 
 def test_symmetric_core_trivial_cases():
-    assert symmetric_core(HilbertBasisSet(((1, 0), (0, 1)), ())) == ()
-    union = HilbertBasisSet(((1, 0), (0, 1), (-1, 0)), ())
-    assert symmetric_core(union) == ((1, 0), (-1, 0))
+    _, core = half_turn_and_core(HilbertBasisSet(((1, 0), (0, 1)), ()))
+    assert core == ()
+    _, core = half_turn_and_core(HilbertBasisSet(((1, 0), (0, 1), (-1, 0)), ()))
+    assert core == ((1, 0), (-1, 0))
 
 
 def test_symmetrized_fan_contains_plain_union():

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galerobust import IntegerMatrix, MatrixFormatError, render_binomial
+from galerobust import IntegerMatrix, MatrixFormatError, is_strongly_robust, render_binomial
 from galerobust.cli import _compact_json, main
 from galerobust.matrixio import (
     format_matrix,
     parse_matrix_json,
     parse_matrix_text,
 )
+from galerobust.svgplot import render_svg
 
 from conftest import (
     DATA,
@@ -525,6 +526,22 @@ def test_plot_rejects_bad_input_without_writing(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 2
     assert not target.exists()
+
+
+def test_plot_draws_the_reports_core(tmp_path, capsys, acceptance_suite):
+    # plot runs the fan stages up to the core itself; it must draw the
+    # reduced rows and the core that is_strongly_robust reports.
+    paths = [EXAMPLE_FILE, CUBIC_FILE]
+    for i, m in enumerate(acceptance_suite[:10]):
+        path = tmp_path / f"suite_{i}.mat"
+        path.write_text(format_matrix(m))
+        paths.append(str(path))
+    target = tmp_path / "drawn.svg"
+    for path in paths:
+        assert main(["plot", path, "--out", str(target)]) == 0
+        report = is_strongly_robust(parse_matrix_text(Path(path).read_text()))
+        assert target.read_text() == render_svg(report.reduced.rows, report.h_core), path
+    capsys.readouterr()
 
 
 # Every non-``plot`` form, pinned by one sha256 per form over all inputs.

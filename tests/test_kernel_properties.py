@@ -15,9 +15,9 @@ normal form of the kernel, so on small-entry matrices, where Lagrange
 ties are common, and on the wide sparse ones its rows must equal the
 Lagrange reduction of ``kernel_lattice_basis`` (in conftest), the same
 form found another way.
-``binomial_from_vector`` (in conftest) runs the unchecked batch
-builder, so every binomial it builds must pass the constructor's
-checks.
+``_gale_binomials`` is the unchecked batch builder, so every binomial
+it builds must pass the constructor's checks and equal the checked
+reference (``binomial_from_vector`` in conftest).
 """
 
 import hashlib
@@ -38,8 +38,9 @@ from galerobust import (
     gale_transform,
     rank,
 )
-from galerobust.gale import _lagrange_reduced_columns
+from galerobust.gale import GaleConfiguration, _lagrange_reduced_columns
 from galerobust.intlinalg import _bareiss_forward
+from galerobust.toric import _gale_binomials
 
 from conftest import (
     binomial_from_vector,
@@ -198,8 +199,12 @@ def test_gale_rows_invariant_under_unimodular_row_operations(case):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8).filter(any))
 def test_trusted_binomial_passes_validation(z):
-    b = binomial_from_vector(z)
+    # Rows (x, 1) and u = (1, 0) give B u = z; the trusted constructor
+    # also takes the one- and two-row batches.
+    rows = GaleConfiguration._trusted(tuple((x, 1) for x in z))
+    b = _gale_binomials(rows, [(1, 0)])[0]
     assert Binomial(plus=b.plus, minus=b.minus) == b
+    assert b == binomial_from_vector(z)
     assert b.vector in (tuple(z), tuple(-x for x in z))
 
 

@@ -15,7 +15,7 @@ from galerobust import (
 )
 from galerobust import toric
 from galerobust.gale import GaleConfiguration
-from galerobust.hilbert import symmetrized_half_turn
+from galerobust.hilbert import half_turn_and_core
 from galerobust.planar import convex_hull
 
 from conftest import (
@@ -63,8 +63,7 @@ def test_from_vector_canonical_sign():
 
 
 def test_from_vector_rejects_the_empty_vector():
-    # The empty vector is the zero vector of length 0: no coordinate
-    # lists, so the batch builder alone would return no binomial at all.
+    # The empty vector is the zero vector of length 0.
     with pytest.raises(ValueError, match="zero vector yields no binomial"):
         binomial_from_vector(())
 
@@ -405,10 +404,9 @@ def test_graver_element_from_a_gap_walk():
     assert {render_binomial(g) for g in report.graver} == graver
     assert {render_binomial(g) for g in report.indispensable} == {"x1 - x2"}
     assert not report.strongly_robust
-    walked = [
-        u for u in symmetrized_half_turn(report.h_union)
-        if render_binomial(binomial_from_gale(b, u)) == "x1*x2 - x3"
-    ]
+    half, core = half_turn_and_core(report.h_union)
+    assert core == report.h_core
+    walked = [u for u in half if render_binomial(binomial_from_gale(b, u)) == "x1*x2 - x3"]
     assert len(walked) == 1
     u = walked[0]
     assert u not in plain and (-u[0], -u[1]) not in plain
